@@ -2,24 +2,27 @@
 
 The paper's core observation is that no single checker order wins everywhere:
 a falsifier-first lineup wastes simulation time on equivalent clone pairs,
-while a prover-first lineup burns the whole proof budget before trying the
-cheap falsifier on buggy pairs.  This benchmark times three scheduling
-configurations on three workload classes:
+while a prover-first lineup without a handoff would burn the whole proof
+budget before trying the cheap falsifier on buggy pairs.  This benchmark
+times three scheduling configurations on three workload classes:
 
-* ``static-sim-first``    — portfolio ``simulation,alternating`` in order
-  (the shipped default);
-* ``static-prover-first`` — portfolio ``alternating,simulation`` in order
-  (optimal for clone-heavy traffic, pessimal for falsification);
-* ``adaptive``            — the feature-driven scheduler, which reorders the
-  same portfolio per pair.
+* ``default``          — the library's default lineup
+  (``portfolio=None``: ``alternating,simulation``) on the static scheduler,
+  i.e. what ``EquivalenceCheckingManager()`` runs: simulation joins once the
+  alternating product outgrows ``2**n`` nodes;
+* ``static-sim-first`` — portfolio ``simulation,alternating`` in order, one
+  checker at a time;
+* ``adaptive``         — the feature-driven scheduler, which reorders the
+  ``simulation,alternating`` portfolio per pair.
 
 Workloads: the Table-1 QFT suite (static vs dynamic realizations, all
 equivalent), a clone-heavy batch (identical builds — the falsifier can never
 refute), and a falsification-heavy batch (injected bugs — the prover is
-wasted work).  The adaptive scheduler should track the *best* static order on
-every workload; each run also asserts pair-for-pair identical criteria across
-all three configurations (verdict stability fails the script, timing noise
-never does).
+wasted work).  Each run asserts pair-for-pair identical criteria across all
+configurations, and that the ``default`` row is decided by ``alternating`` on
+every ``table1_qft`` pair and by ``simulation`` (after the handoff) on every
+``falsification_batch`` pair.  Verdicts and deciders fail the script, timing
+noise never does.
 
 Results are emitted as ``BENCH_scheduler.json`` (schema shared via
 ``bench_common.validate_bench_payload``).
@@ -45,10 +48,11 @@ from repro.core import EquivalenceCheckingManager
 
 SEED = 42
 
-#: (label, portfolio, scheduler) triples benchmarked against each other.
+#: (label, portfolio, scheduler) triples benchmarked against each other;
+#: ``None`` is the library's default lineup.
 CONFIGURATIONS = [
+    ("default", None, "static"),
     ("static-sim-first", ("simulation", "alternating"), "static"),
-    ("static-prover-first", ("alternating", "simulation"), "static"),
     ("adaptive", ("simulation", "alternating"), "adaptive"),
 ]
 
@@ -77,12 +81,18 @@ def falsification_pairs(sizes: list[int]):
 
     Comparing a QFT against a random circuit makes the alternating product
     diagram blow up (nothing cancels), while a single random stimulus refutes
-    the pair almost immediately: prover-first lineups pay 10-100x here.
+    the pair almost immediately: a prover-first lineup without the handoff
+    to simulation would pay 10-100x here.
     """
     return [
         (qft_static_benchmark(n), random_static_circuit(n, depth=n, seed=7 + n))
         for n in sizes
     ]
+
+
+#: The checker that must decide every pair of a workload in the ``default``
+#: row (counts and verdicts are gated, never timings).
+DEFAULT_DECIDER = {"table1_qft": "alternating", "falsification_batch": "simulation"}
 
 
 def bench_workload(workload: str, pairs, repeats: int) -> list[dict]:
@@ -94,25 +104,25 @@ def bench_workload(workload: str, pairs, repeats: int) -> list[dict]:
             seed=SEED, portfolio=portfolio, scheduler=scheduler
         )
         timings = []
-        criteria: list[str] = []
+        results = []
         for _ in range(repeats):
-            criteria = []
             start = time.perf_counter()
-            for first, second in pairs:
-                criteria.append(manager.run(first, second).criterion.value)
+            results = [manager.run(first, second) for first, second in pairs]
             timings.append((time.perf_counter() - start) * 1000.0)
-        criteria_by_config[label] = criteria
+        criteria_by_config[label] = [result.criterion.value for result in results]
         entries.append(
             {
                 "name": f"{workload}/{label}",
                 "workload": workload,
                 "configuration": label,
                 "scheduler": scheduler,
-                "portfolio": list(portfolio),
+                "portfolio": list(manager.portfolio),
                 "num_pairs": len(pairs),
                 "repeats": repeats,
                 "mean_ms": sum(timings) / len(timings),
                 "min_ms": min(timings),
+                "criteria": criteria_by_config[label],
+                "decided_by": [result.decided_by for result in results],
             }
         )
     reference = criteria_by_config[CONFIGURATIONS[0][0]]
@@ -122,6 +132,13 @@ def bench_workload(workload: str, pairs, repeats: int) -> list[dict]:
                 f"verdict instability on {workload}: {label} disagrees with "
                 f"{CONFIGURATIONS[0][0]} ({criteria} vs {reference})"
             )
+    expected = DEFAULT_DECIDER.get(workload)
+    deciders = entries[0]["decided_by"]  # CONFIGURATIONS[0] is the default row
+    if expected is not None and any(decider != expected for decider in deciders):
+        raise RuntimeError(
+            f"default lineup on {workload} must be decided by {expected} on "
+            f"every pair, got {deciders}"
+        )
     return entries
 
 

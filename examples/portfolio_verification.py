@@ -1,11 +1,13 @@
 """Portfolio verification: early termination, timeouts, batch checking.
 
 The :class:`~repro.core.manager.EquivalenceCheckingManager` runs a portfolio
-of complementary checkers per circuit pair — simulation falsifies fast,
-the alternating scheme proves equivalence — and stops at the first definitive
-verdict.  ``verify_batch`` scales this to many pairs, either on a thread pool
-(``executor="thread"``) or, since the DD checkers are CPU-bound pure Python
-and therefore GIL-bound under threads, on a process pool
+of complementary checkers per circuit pair and stops at the first definitive
+verdict.  By default the alternating prover leads; the simulation falsifier
+joins only when the prover's product diagram outgrows ``2**n`` nodes, which
+happens on unrelated circuits and almost never on Scheme-1 reconstructions
+of the same algorithm.  ``verify_batch`` scales this to many pairs, either on
+a thread pool (``executor="thread"``) or, since the DD checkers are CPU-bound
+pure Python and therefore GIL-bound under threads, on a process pool
 (``executor="process"``) that ships pickled work units to worker processes.
 
 Run with ``python examples/portfolio_verification.py``.
@@ -17,9 +19,11 @@ from repro.algorithms import (
     bernstein_vazirani_static,
     ghz_ladder,
     ghz_with_bug,
+    qft_static_benchmark,
     teleportation_dynamic,
     teleportation_static,
 )
+from repro.circuit.random_circuits import random_static_circuit
 
 
 def describe(result) -> str:
@@ -32,19 +36,34 @@ def describe(result) -> str:
 def main() -> None:
     # ------------------------------------------------------------------
     # 1. One manager, fixed seed for reproducible stimuli.
-    #    Default portfolio: simulation (falsifier) then alternating (prover).
+    #    Default portfolio: alternating (prover) leads, simulation
+    #    (falsifier) joins once the prover's diagram outgrows 2**n nodes.
     # ------------------------------------------------------------------
     manager = EquivalenceCheckingManager(seed=42)
 
-    # An equivalent pair: simulation only says "probably", the alternating
-    # checker delivers the definitive proof.
+    # An equivalent static/dynamic pair: the product diagram stays close to
+    # the identity, the prover decides alone and simulation is skipped.
     result = manager.run(teleportation_static(), teleportation_dynamic())
     print("teleportation static vs dynamic:", describe(result))
 
-    # A non-equivalent pair: the simulation falsifier finds a counterexample
-    # immediately and the expensive prover is skipped entirely.
+    # A small buggy pair: the prover refutes it just as cheaply.
     result = manager.run(ghz_ladder(4), ghz_with_bug(4))
     print("GHZ vs buggy GHZ:            ", describe(result))
+
+    # Unrelated circuits: nothing cancels, the product heads for the dense
+    # maximum, simulation joins and its first stimulus refutes the pair;
+    # the prover is cancelled.
+    result = manager.run(
+        qft_static_benchmark(6), random_static_circuit(6, depth=6, seed=13)
+    )
+    print("QFT vs random circuit:       ", describe(result))
+
+    # A falsifier-led lineup runs one checker at a time, in order.
+    falsifier_first = EquivalenceCheckingManager(
+        seed=42, portfolio=("simulation", "alternating")
+    )
+    result = falsifier_first.run(teleportation_static(), teleportation_dynamic())
+    print("simulation,alternating:      ", describe(result))
 
     # ------------------------------------------------------------------
     # 2. Time budgets: bound each checker and the whole portfolio run.

@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--portfolio",
         default=None,
         metavar="CHECKERS",
-        help="comma-separated checkers (default: simulation,alternating)",
+        help="comma-separated checkers (default: alternating,simulation)",
     )
     batch.add_argument(
         "--strategy", default="proportional", choices=["naive", "one_to_one", "proportional", "lookahead"]
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--portfolio",
         default=None,
         metavar="CHECKERS",
-        help="comma-separated checkers (default: simulation,alternating)",
+        help="comma-separated checkers (default: alternating,simulation)",
     )
     serve.add_argument(
         "--scheduler",

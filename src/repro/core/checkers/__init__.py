@@ -19,7 +19,6 @@ workers inherit the parent's registry).
 from repro.core.checkers.alternating import AlternatingChecker
 from repro.core.checkers.base import (
     Checker,
-    CheckerInterrupted,
     CheckerOutcome,
     available_checkers,
     is_registered,
@@ -35,7 +34,6 @@ from repro.core.checkers.simulation import SimulationChecker
 __all__ = [
     "AlternatingChecker",
     "Checker",
-    "CheckerInterrupted",
     "CheckerOutcome",
     "ConstructionChecker",
     "DistributionChecker",

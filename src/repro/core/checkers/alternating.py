@@ -8,7 +8,7 @@ gate applications from both circuits according to
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Generator
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
@@ -41,25 +41,23 @@ class AlternatingChecker(Checker):
     role: ClassVar[str] = "prover"
     uses_strategy: ClassVar[bool] = True
 
-    def check(
+    def steps(
         self,
         first: "QuantumCircuit",
         second: "QuantumCircuit",
         configuration: "Configuration",
-        *,
-        interrupt: Callable[[], bool] | None = None,
-    ) -> CheckerOutcome:
+    ) -> Generator[int | None, None, CheckerOutcome]:
         if configuration.backend == "dd":
-            return self._check_dd(first, second, configuration, interrupt)
-        return self._check_dense(first, second, configuration, interrupt)
+            return (yield from self._dd_steps(first, second, configuration))
+        return (yield from self._dense_steps(first, second, configuration))
 
-    def _check_dd(
+    def _dd_steps(
         self,
         first: "QuantumCircuit",
         second: "QuantumCircuit",
         config: "Configuration",
-        interrupt: Callable[[], bool] | None,
-    ) -> CheckerOutcome:
+    ) -> Generator[int, None, CheckerOutcome]:
+        """One step per gate application, yielding the product's node count."""
         num_qubits = first.num_qubits
         package = DDPackage(
             num_qubits,
@@ -88,7 +86,6 @@ class AlternatingChecker(Checker):
 
         if config.strategy == "lookahead":
             while left_index < len(left) or right_index < len(right):
-                self.check_interrupt(interrupt)
                 if left_index >= len(left):
                     product = apply_right(product)
                 elif right_index >= len(right):
@@ -106,12 +103,15 @@ class AlternatingChecker(Checker):
                     else:
                         product = candidate_right
                         left_index, right_index = saved_left, right_after
-                max_nodes = max(max_nodes, package.count_nodes(product))
+                nodes = package.count_nodes(product)
+                max_nodes = max(max_nodes, nodes)
+                yield nodes
         else:
             for token in alternating_schedule(len(left), len(right), config.strategy):
-                self.check_interrupt(interrupt)
                 product = apply_left(product) if token == LEFT else apply_right(product)
-                max_nodes = max(max_nodes, package.count_nodes(product))
+                nodes = package.count_nodes(product)
+                max_nodes = max(max_nodes, nodes)
+                yield nodes
 
         scalar = package.identity_scalar(product, config.tolerance)
         details = {
@@ -123,13 +123,12 @@ class AlternatingChecker(Checker):
         }
         return CheckerOutcome(criterion_from_scalar(scalar, config.tolerance), details)
 
-    def _check_dense(
+    def _dense_steps(
         self,
         first: "QuantumCircuit",
         second: "QuantumCircuit",
         config: "Configuration",
-        interrupt: Callable[[], bool] | None,
-    ) -> CheckerOutcome:
+    ) -> Generator[None, None, CheckerOutcome]:
         num_qubits = first.num_qubits
         dim = 1 << num_qubits
         left, right = gate_lists(first, second)
@@ -140,11 +139,11 @@ class AlternatingChecker(Checker):
             _dense_gate(inverse_instruction(inst), num_qubits) for inst in right
         )
         for token in alternating_schedule(len(left), len(right), _dense_strategy(config)):
-            self.check_interrupt(interrupt)
             if token == LEFT:
                 product = next(left_matrices) @ product
             else:
                 product = product @ next(right_matrices)
+            yield
 
         details = {"num_gates_first": len(left), "num_gates_second": len(right)}
         return CheckerOutcome(criterion_from_matrix(product, config.tolerance), details)

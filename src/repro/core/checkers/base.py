@@ -17,16 +17,17 @@ replaces that hub with first-class :class:`Checker` objects:
   lets the portfolio scheduler reason about a checker without running it.
 
 A checker receives the two circuits plus the active
-:class:`~repro.core.configuration.Configuration` and returns a
-:class:`CheckerOutcome`; wrapping into the public
+:class:`~repro.core.configuration.Configuration` and produces a
+:class:`CheckerOutcome` through the step protocol of :class:`Checker`;
+wrapping into the public
 :class:`~repro.core.results.EquivalenceCheckResult` (timings, method name,
 backend) is done by the calling layer.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from collections.abc import Callable
+from abc import ABC
+from collections.abc import Generator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar
 
@@ -36,6 +37,7 @@ from repro.circuit.gates import Gate
 from repro.circuit.operations import Instruction
 from repro.core.results import EquivalenceCriterion
 from repro.exceptions import EquivalenceCheckingError
+from repro.utils.steps import drive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (configuration
     # validates names against this registry, so it must not be imported here
@@ -45,7 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (configuration
 
 __all__ = [
     "Checker",
-    "CheckerInterrupted",
     "CheckerOutcome",
     "available_checkers",
     "criterion_from_matrix",
@@ -60,15 +61,6 @@ __all__ = [
 ]
 
 
-class CheckerInterrupted(Exception):
-    """Raised inside a checker when its cancellation flag was set.
-
-    Deliberately *not* a :class:`~repro.exceptions.ReproError`: interruption
-    is control flow between the portfolio manager and an abandoned worker
-    thread, never a user-facing library failure.
-    """
-
-
 @dataclass
 class CheckerOutcome:
     """What a checker found: a criterion plus free-form diagnostics."""
@@ -78,12 +70,25 @@ class CheckerOutcome:
 
 
 class Checker(ABC):
-    """One equivalence-checking strategy.
+    """One equivalence-checking strategy, run as a step generator.
 
-    Subclasses set the class attributes and implement :meth:`check`; calling
-    :func:`register` on the subclass makes it resolvable by name everywhere a
-    checker name is accepted (``Configuration.method``,
-    ``Configuration.portfolio``, the CLI, the scheduler).
+    :meth:`steps` is a generator: it yields after every unit of work (one
+    gate application, one stimulus, one instruction) and returns the
+    :class:`CheckerOutcome`.  Each yield reports the live node count of the
+    checker's decision diagram, or None when it holds none (dense backends,
+    the rewrite prover).  The portfolio manager steps several checkers in
+    one thread: it checks budgets between steps, lets the next checker join
+    when a prover's diagram outgrows ``2**n`` nodes, and closes a generator
+    whose verdict is no longer needed.  :meth:`check` runs the steps to
+    completion.
+
+    Subclasses set the class attributes and implement :meth:`steps` — or,
+    for a strategy that cannot pause, just :meth:`check`, which then runs as
+    a single step that no budget can cut short (an overrun only turns it
+    into a ``timeout`` once it returns).  Calling :func:`register` on the
+    subclass makes it resolvable by name everywhere a checker name is
+    accepted (``Configuration.method``, ``Configuration.portfolio``, the
+    CLI, the scheduler).
 
     Attributes
     ----------
@@ -109,28 +114,24 @@ class Checker(ABC):
     scheme_two: ClassVar[bool] = False
     uses_strategy: ClassVar[bool] = False
 
-    @abstractmethod
+    def steps(
+        self,
+        first: "QuantumCircuit",
+        second: "QuantumCircuit",
+        configuration: "Configuration",
+    ) -> Generator[int | None, None, CheckerOutcome]:
+        """Decide equivalence of two circuits under ``configuration``, stepwise."""
+        return self.check(first, second, configuration)
+        yield  # unreachable: makes a plain ``check`` a one-step generator
+
     def check(
         self,
         first: "QuantumCircuit",
         second: "QuantumCircuit",
         configuration: "Configuration",
-        *,
-        interrupt: Callable[[], bool] | None = None,
     ) -> CheckerOutcome:
-        """Decide equivalence of two circuits under ``configuration``.
-
-        ``interrupt`` is an optional cancellation probe: long-running loops
-        must call :meth:`check_interrupt` between steps so that a checker
-        whose budget expired stops doing work instead of running to
-        completion on an abandoned thread.
-        """
-
-    @staticmethod
-    def check_interrupt(interrupt: Callable[[], bool] | None) -> None:
-        """Raise :class:`CheckerInterrupted` when the cancellation flag is set."""
-        if interrupt is not None and interrupt():
-            raise CheckerInterrupted
+        """Decide equivalence of two circuits under ``configuration``."""
+        return drive(self.steps(first, second, configuration))
 
 
 # ----------------------------------------------------------------------
@@ -156,6 +157,10 @@ def register(cls: type[Checker], *, replace: bool = False) -> type[Checker]:
     if not (isinstance(cls, type) and issubclass(cls, Checker)):
         raise EquivalenceCheckingError(
             f"{cls!r} is not a Checker subclass and cannot be registered"
+        )
+    if cls.steps is Checker.steps and cls.check is Checker.check:
+        raise EquivalenceCheckingError(
+            f"checker class {cls.__name__} must implement steps() or check()"
         )
     if name in _REGISTRY and not replace:
         raise EquivalenceCheckingError(

@@ -8,7 +8,7 @@ both unitaries.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Generator
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
@@ -21,8 +21,9 @@ from repro.core.checkers.base import (
     register,
 )
 from repro.core.results import EquivalenceCriterion
+from repro.dd.circuits import unitary_dd_steps
 from repro.dd.package import DDPackage
-from repro.simulators.unitary import circuit_unitary, process_fidelity
+from repro.simulators.unitary import process_fidelity, unitary_steps
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.circuit.circuit import QuantumCircuit
@@ -37,14 +38,13 @@ class ConstructionChecker(Checker):
     name: ClassVar[str] = "construction"
     role: ClassVar[str] = "prover"
 
-    def check(
+    def steps(
         self,
         first: "QuantumCircuit",
         second: "QuantumCircuit",
         configuration: "Configuration",
-        *,
-        interrupt: Callable[[], bool] | None = None,
-    ) -> CheckerOutcome:
+    ) -> Generator[int | None, None, CheckerOutcome]:
+        """One step per gate of either build, yielding the DD's node count."""
         config = configuration
         if config.backend == "dd":
             package = DDPackage(
@@ -54,15 +54,12 @@ class ConstructionChecker(Checker):
                 gate_cache_ttl=config.gate_cache_ttl,
                 dense_cutoff=config.dense_cutoff,
             )
-            from repro.dd.circuits import circuit_to_unitary_dd
-
-            unitary_first = circuit_to_unitary_dd(package, first, interrupt=interrupt)
-            unitary_second_inverse = circuit_to_unitary_dd(
-                package,
-                second.remove_final_measurements().inverse(),
-                interrupt=interrupt,
-            )
-            self.check_interrupt(interrupt)
+            unitaries = []
+            for circuit in (first, second.remove_final_measurements().inverse()):
+                for unitary in unitary_dd_steps(package, circuit):
+                    yield package.count_nodes(unitary)
+                unitaries.append(unitary)
+            unitary_first, unitary_second_inverse = unitaries
             product = package.multiply_matrices(unitary_first, unitary_second_inverse)
             scalar = package.identity_scalar(product, config.tolerance)
             details = {
@@ -73,9 +70,12 @@ class ConstructionChecker(Checker):
             }
             return CheckerOutcome(criterion_from_scalar(scalar, config.tolerance), details)
 
-        unitary_first = circuit_unitary(first, interrupt=interrupt)
-        unitary_second = circuit_unitary(second, interrupt=interrupt)
-        self.check_interrupt(interrupt)
+        unitaries = []
+        for circuit in (first, second):
+            for unitary in unitary_steps(circuit):
+                yield
+            unitaries.append(unitary)
+        unitary_first, unitary_second = unitaries
         fidelity = process_fidelity(unitary_first, unitary_second)
         details = {"process_fidelity": fidelity}
         if fidelity > 1.0 - config.tolerance:

@@ -15,12 +15,12 @@ disagree behaviourally).
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Generator
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.core.checkers.base import Checker, CheckerOutcome, register
 from repro.core.distributions import classical_fidelity, total_variation_distance
-from repro.core.extraction import extract_distribution
+from repro.core.extraction import extraction_steps
 from repro.core.results import EquivalenceCriterion
 from repro.exceptions import EquivalenceCheckingError
 
@@ -38,14 +38,12 @@ class DistributionChecker(Checker):
     role: ClassVar[str] = "falsifier"
     scheme_two: ClassVar[bool] = True
 
-    def check(
+    def steps(
         self,
         first: "QuantumCircuit",
         second: "QuantumCircuit",
         configuration: "Configuration",
-        *,
-        interrupt: Callable[[], bool] | None = None,
-    ) -> CheckerOutcome:
+    ) -> Generator[None, None, CheckerOutcome]:
         if first.num_clbits != second.num_clbits:
             raise EquivalenceCheckingError(
                 "the distribution checker compares measurement outcomes; the "
@@ -58,13 +56,8 @@ class DistributionChecker(Checker):
                 "neither circuit measures anything"
             )
         backend = "dd" if configuration.backend == "dd" else "statevector"
-        first_result = extract_distribution(
-            first, None, backend=backend, interrupt=interrupt
-        )
-        second_result = extract_distribution(
-            second, None, backend=backend, interrupt=interrupt
-        )
-        self.check_interrupt(interrupt)
+        first_result = yield from extraction_steps(first, None, backend=backend)
+        second_result = yield from extraction_steps(second, None, backend=backend)
         distance = total_variation_distance(
             first_result.distribution, second_result.distribution
         )

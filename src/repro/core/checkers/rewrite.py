@@ -25,7 +25,7 @@ peephole is incomplete (it has no commutation rules), so a residue means
 from __future__ import annotations
 
 import cmath
-from collections.abc import Callable
+from collections.abc import Generator
 from typing import ClassVar
 
 import numpy as np
@@ -45,8 +45,8 @@ __all__ = ["RewriteChecker"]
 
 _IDENTITY = np.eye(2, dtype=complex)
 
-#: How often the reduction loop polls the cancellation flag.
-_INTERRUPT_STRIDE = 256
+#: Gates the reduction loop handles per step.
+_STEP_STRIDE = 256
 
 
 class _Entry:
@@ -132,14 +132,9 @@ class RewriteChecker(Checker):
     scheme_two: ClassVar[bool] = False
     uses_strategy: ClassVar[bool] = False
 
-    def check(
-        self,
-        first,
-        second,
-        configuration,
-        *,
-        interrupt: Callable[[], bool] | None = None,
-    ) -> CheckerOutcome:
+    def steps(
+        self, first, second, configuration
+    ) -> Generator[None, None, CheckerOutcome]:
         from repro.compilation.basis import decompose_to_cx_and_single_qubit
         from repro.exceptions import ReproError
 
@@ -161,8 +156,8 @@ class RewriteChecker(Checker):
         stack = _PeepholeStack(tolerance)
         input_gates = len(left_stream) + len(inverse_stream)
         for position, instruction in enumerate(left_stream + inverse_stream):
-            if position % _INTERRUPT_STRIDE == 0:
-                self.check_interrupt(interrupt)
+            if position % _STEP_STRIDE == 0:
+                yield
             gate = instruction.operation
             if isinstance(gate, GlobalPhaseGate):
                 stack.phase += gate.phase

@@ -1,18 +1,18 @@
 """The simulative (random-stimuli) equivalence checker.
 
 The portfolio's *falsifier*: a single mismatching stimulus proves
-non-equivalence, usually long before a functional check would finish, but a
-pass only yields ``PROBABLY_EQUIVALENT``.
+non-equivalence, but a pass only yields ``PROBABLY_EQUIVALENT``.  The default
+lineup lets it join once the prover's product outgrows ``2**n`` nodes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Generator
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.core.checkers.base import Checker, CheckerOutcome, register
 from repro.core.results import EquivalenceCriterion
-from repro.core.simulative import run_simulative_check
+from repro.core.simulative import simulation_steps
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.circuit.circuit import QuantumCircuit
@@ -27,16 +27,14 @@ class SimulationChecker(Checker):
     name: ClassVar[str] = "simulation"
     role: ClassVar[str] = "falsifier"
 
-    def check(
+    def steps(
         self,
         first: "QuantumCircuit",
         second: "QuantumCircuit",
         configuration: "Configuration",
-        *,
-        interrupt: Callable[[], bool] | None = None,
-    ) -> CheckerOutcome:
+    ) -> Generator[int | None, None, CheckerOutcome]:
         config = configuration
-        passed, details = run_simulative_check(
+        passed, details = yield from simulation_steps(
             first,
             second,
             backend=config.backend,
@@ -48,7 +46,6 @@ class SimulationChecker(Checker):
             gate_cache_size=config.gate_cache_size,
             gate_cache_ttl=config.gate_cache_ttl,
             dense_cutoff=config.dense_cutoff,
-            interrupt=interrupt,
         )
         criterion = (
             EquivalenceCriterion.PROBABLY_EQUIVALENT

@@ -95,8 +95,9 @@ class Configuration:
         Checker names run by the
         :class:`~repro.core.manager.EquivalenceCheckingManager`; every name
         is validated eagerly against the checker registry at construction
-        time.  ``None`` selects the default portfolio (simulation as a fast
-        falsifier, then the alternating scheme).
+        time.  ``None`` selects the default portfolio: the alternating
+        prover, joined by the simulation falsifier only once the prover's
+        product diagram outgrows ``2**n`` nodes.
     scheduler:
         How the manager turns the portfolio into a per-pair checker lineup:
         ``static`` (configured order, uniform budgets — the historical
@@ -104,11 +105,14 @@ class Configuration:
         splits; see :mod:`repro.core.scheduler`).  Third-party schedulers
         register under their own names.
     timeout:
-        Overall wall-clock budget (seconds) of one portfolio run; ``None``
-        disables the limit.
+        Overall wall-clock budget (seconds) of one portfolio run, checked
+        after every checker step; ``None`` disables the limit.
     checker_timeout:
-        Wall-clock budget (seconds) of each individual checker within a
-        portfolio run; ``None`` disables the limit.
+        Wall-clock budget (seconds) of the time each checker spends in its
+        own steps within a portfolio run, checked after every step; ``None``
+        disables the limit.  A step that overruns either budget, the last
+        one included, makes the attempt a ``timeout``; a single long step (a
+        ``check()``-only checker, an injected ``sleep``) is not cut short.
     max_workers:
         Number of concurrent workers used by
         :meth:`~repro.core.manager.EquivalenceCheckingManager.verify_batch`

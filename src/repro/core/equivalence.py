@@ -28,7 +28,7 @@ classically-controlled operations) are handled exactly as the paper proposes:
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Generator
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core import checkers as checker_registry
@@ -38,6 +38,7 @@ from repro.core.extraction import extract_distribution
 from repro.core.results import EquivalenceCheckResult, EquivalenceCriterion
 from repro.core.transformation import permute_qubits, to_unitary_circuit
 from repro.exceptions import EquivalenceCheckingError
+from repro.utils.steps import drive, timed
 
 __all__ = [
     "EquivalenceChecker",
@@ -71,17 +72,24 @@ class EquivalenceChecker:
         second: QuantumCircuit,
         *,
         qubit_permutation: dict[int, int] | None = None,
-        interrupt: Callable[[], bool] | None = None,
     ) -> EquivalenceCheckResult:
         """Check whether ``first`` and ``second`` realize the same unitary.
 
         ``qubit_permutation`` optionally relabels the qubits of ``second``
         before the comparison (``{old: new}``) — useful when a reconstructed
         dynamic circuit enumerates its fresh qubits in a different order than
-        the static reference.  ``interrupt`` is a cancellation probe polled
-        by the checker between expensive steps (see
-        :class:`~repro.core.checkers.base.Checker`).
+        the static reference.  :meth:`steps` is the step-generator form.
         """
+        return drive(self.steps(first, second, qubit_permutation=qubit_permutation))
+
+    def steps(
+        self,
+        first: QuantumCircuit,
+        second: QuantumCircuit,
+        *,
+        qubit_permutation: dict[int, int] | None = None,
+    ) -> Generator[int | None, None, EquivalenceCheckResult]:
+        """:meth:`run` as a step generator (the checker protocol of ``Checker``)."""
         config = self.configuration
         checker_cls = checker_registry.resolve(config.method)
         time_transformation = 0.0
@@ -115,11 +123,11 @@ class EquivalenceChecker:
                 "they do not have the same primary inputs/outputs"
             )
 
-        start = time.perf_counter()
-        outcome = checker_cls().check(
-            first_prepared, second_prepared, config, interrupt=interrupt
+        # Only the checker's own steps count: in a portfolio other checkers
+        # may run between them.
+        outcome, time_check = yield from timed(
+            checker_cls().steps(first_prepared, second_prepared, config)
         )
-        time_check = time.perf_counter() - start
 
         return EquivalenceCheckResult(
             criterion=outcome.criterion,

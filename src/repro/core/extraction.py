@@ -26,7 +26,7 @@ the scheme; the DD backend is what makes the large sparse benchmark instances
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 from repro.circuit.circuit import QuantumCircuit
@@ -34,8 +34,9 @@ from repro.exceptions import ExtractionError
 from repro.simulators.dd_simulator import DDState
 from repro.simulators.statevector import Statevector
 from repro.utils.bits import format_bitstring
+from repro.utils.steps import drive
 
-__all__ = ["ExtractionResult", "extract_distribution"]
+__all__ = ["ExtractionResult", "extract_distribution", "extraction_steps"]
 
 _BACKENDS = ("statevector", "dd")
 
@@ -104,15 +105,24 @@ def _initial_state(
 
 
 def extract_distribution(
+    circuit: QuantumCircuit, initial_state: "str | int | None" = None, **options
+) -> ExtractionResult:
+    """Extract the complete measurement-outcome distribution of ``circuit``.
+
+    ``options`` are the keyword arguments of :func:`extraction_steps`.
+    """
+    return drive(extraction_steps(circuit, initial_state, **options))
+
+
+def extraction_steps(
     circuit: QuantumCircuit,
     initial_state: "str | int | None" = None,
     *,
     backend: str = "statevector",
     prune_threshold: float = 1e-12,
     max_paths: int | None = None,
-    interrupt: "Callable[[], bool] | None" = None,
-) -> ExtractionResult:
-    """Extract the complete measurement-outcome distribution of ``circuit``.
+) -> Generator[None, None, ExtractionResult]:
+    """:func:`extract_distribution` as a step generator, one step per instruction.
 
     Parameters
     ----------
@@ -133,11 +143,6 @@ def extract_distribution(
     max_paths:
         Optional safety limit on the number of live branches; exceeded limits
         raise :class:`~repro.exceptions.ExtractionError`.
-    interrupt:
-        Optional cancellation probe polled between instructions (see
-        :class:`repro.core.checkers.base.Checker`); when it fires the
-        extraction raises ``CheckerInterrupted`` instead of finishing on an
-        abandoned thread.
 
     Returns
     -------
@@ -164,10 +169,7 @@ def extract_distribution(
     num_branch_points = 0
 
     for instruction in circuit:
-        if interrupt is not None and interrupt():
-            from repro.core.checkers.base import CheckerInterrupted
-
-            raise CheckerInterrupted
+        yield
         if instruction.is_barrier:
             continue
 

@@ -2,25 +2,31 @@
 
 Single-method runs (:func:`~repro.core.equivalence.check_equivalence`) make
 the caller commit to one checker up front.  Real equivalence-checking tools
-such as QCEC instead run a *portfolio* of complementary checkers and stop as
-soon as any of them is definitive:
+such as QCEC instead run a *portfolio* of complementary checkers and take the
+first definitive answer:
 
-* ``simulation`` (and ``distribution``) are fast *falsifiers* — a single
-  mismatching stimulus or outcome distribution proves non-equivalence,
-  usually long before a functional check would finish, but a pass only
-  yields ``PROBABLY_EQUIVALENT``;
 * ``alternating`` (and ``construction``) are *provers* — they decide
-  equivalence definitively, at higher cost.
+  equivalence definitively; on Scheme-1 circuits the alternating product
+  usually stays close to the identity, far below ``2**n`` nodes;
+* ``simulation`` (and ``distribution``) are *falsifiers* — a single
+  mismatching stimulus or outcome distribution proves non-equivalence, but a
+  pass only yields ``PROBABLY_EQUIVALENT``.
+
+Every checker is a step generator (:class:`~repro.core.checkers.base.Checker`)
+and the manager runs the lineup in the calling thread: the head steps alone;
+once a running prover's diagram outgrows ``2**n`` nodes (``n`` qubits of the
+transformed pair, the most any vector diagram on them can hold) the next
+checker joins at equal DD work.  The first definitive verdict closes every
+other checker; budgets are checked between steps.  A falsifier-led lineup
+(``simulation,alternating``) thus runs one checker at a time, in order.
 
 Which checkers run, in which order and with which budgets is decided per
 pair by a :class:`~repro.core.scheduler.PortfolioScheduler`
 (``Configuration.scheduler``): ``static`` replays the configured portfolio
 verbatim, ``adaptive`` reorders it from circuit features (and routes
 conditioned-reset pairs to the Scheme-2 ``distribution`` checker, which the
-Scheme-1 checkers cannot decide).  :class:`EquivalenceCheckingManager` runs
-the scheduled lineup with per-checker and overall wall-clock budgets,
-terminates early on the first definitive verdict, and records the schedule,
-the feature vector and which checker decided in a
+Scheme-1 checkers cannot decide).  :class:`EquivalenceCheckingManager` records
+the schedule, the feature vector and which checker decided in a
 :class:`~repro.core.results.PortfolioResult`.  For scale,
 :meth:`EquivalenceCheckingManager.verify_batch` verifies many circuit pairs
 concurrently — on a thread pool (``executor="thread"``) or, since the DD
@@ -48,24 +54,26 @@ import random
 import threading
 import time
 from collections import deque
-from collections.abc import Sequence
-from dataclasses import replace
+from collections.abc import Generator, Sequence
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core import checkers as checker_registry
-from repro.core.checkers.base import CheckerInterrupted
 from repro.core.configuration import Configuration
 from repro.core.equivalence import EquivalenceChecker
 from repro.core.results import (
     BatchEntry,
     BatchResult,
     CheckerAttempt,
+    EquivalenceCheckResult,
     EquivalenceCriterion,
     PortfolioResult,
 )
 from repro.core.scheduler import Schedule, deprioritize, resolve_scheduler
 from repro.core.transformation import to_unitary_circuit
 from repro.core.workers import BatchWorkUnit, chunk_pairs, verify_work_unit
+from repro.dd.package import merge_dd_statistics
 from repro.obs import trace
 from repro.obs.logs import fields, get_logger
 from repro.resilience.breaker import BreakerBoard
@@ -81,8 +89,10 @@ __all__ = [
     "verify_portfolio",
 ]
 
-#: Default checker line-up: falsify fast, then prove.
-DEFAULT_PORTFOLIO: tuple[str, ...] = ("simulation", "alternating")
+#: Default checker line-up: the alternating prover decides, and the
+#: simulation falsifier joins only when the prover's product diagram outgrows
+#: ``2**n`` nodes.
+DEFAULT_PORTFOLIO: tuple[str, ...] = ("alternating", "simulation")
 
 #: Criteria that terminate the portfolio regardless of which checker produced
 #: them.  ``PROBABLY_EQUIVALENT`` (a passing simulation) is *not* definitive —
@@ -101,6 +111,21 @@ _INDICATIVE_RANK = {
     EquivalenceCriterion.NO_INFORMATION: 0,
     EquivalenceCriterion.PROBABLY_EQUIVALENT: 1,
 }
+
+
+@dataclass(eq=False)
+class _Run:
+    """A started checker of the step runner in ``_run_uncached``."""
+
+    position: int  # slot in the schedule
+    method: str
+    prover: bool
+    budget: float | None
+    steps: Generator
+    span: object
+    work: int = 0  # DD work so far: the node counts its steps reported
+    elapsed: float = 0.0  # seconds spent inside its own steps
+    joined: bool = False  # its diagram outgrew the bound and let the next in
 
 
 class EquivalenceCheckingManager:
@@ -222,12 +247,15 @@ class EquivalenceCheckingManager:
     ) -> PortfolioResult:
         """Check one circuit pair with the scheduled checker lineup.
 
-        Checkers run in schedule order; the first definitive verdict
-        (``EQUIVALENT``, ``EQUIVALENT_UP_TO_GLOBAL_PHASE`` or
-        ``NOT_EQUIVALENT``) terminates the run and the remaining checkers are
-        skipped.  A checker that raises or exceeds its time budget is recorded
-        and the next checker gets its turn.  When no checker is definitive the
-        final criterion falls back to the best indicative one
+        Checkers start in schedule order, in the calling thread: the next
+        one starts when the running ones have finished, or joins early when
+        a running prover's diagram outgrows ``2**n`` nodes.  The first
+        definitive verdict (``EQUIVALENT``, ``EQUIVALENT_UP_TO_GLOBAL_PHASE``
+        or ``NOT_EQUIVALENT``) terminates the run: running checkers are
+        recorded as ``cancelled``, unstarted ones as ``skipped``.  A checker
+        that raises or exceeds its time budget (checked between its steps) is
+        recorded and the next checker gets its turn.  When no checker is
+        definitive the final criterion falls back to the best indicative one
         (``PROBABLY_EQUIVALENT`` from a passing behavioural check) or
         ``NO_INFORMATION``.
 
@@ -414,219 +442,197 @@ class EquivalenceCheckingManager:
                     **fields(checkers=list(quarantined)),
                 )
         deadline = None if config.timeout is None else start + config.timeout
-        attempts: list[CheckerAttempt] = []
-        indicative: EquivalenceCriterion | None = None
-        indicative_method: str | None = None
-        schedule_names = list(schedule.checker_names)
-        features_payload = (
-            schedule.features.to_dict() if schedule.features is not None else None
-        )
 
         # Transform dynamic circuits to unitary ones once (Scheme 1) and share
         # the result across all Scheme-1 checkers instead of re-transforming
         # per method; Scheme-2 checkers receive the originals.  On failure
         # fall back to the originals so the error surfaces per checker
         # attempt, as it would without the shared transformation.
-        original_first, original_second = first, second
-        unitary_first, unitary_second = first, second
+        unitary_pair = (first, second)
         if config.transform_dynamic:
             try:
-                if first.is_dynamic:
-                    unitary_first = to_unitary_circuit(first).circuit
-                if second.is_dynamic:
-                    unitary_second = to_unitary_circuit(second).circuit
+                unitary_pair = tuple(
+                    to_unitary_circuit(c).circuit if c.is_dynamic else c
+                    for c in unitary_pair
+                )
             except Exception:  # noqa: BLE001 - checkers report it per attempt
                 pass
+        # 2^n: the most nodes any vector DD on the pair's n qubits can hold.
+        # A prover whose product outgrows it is far from the identity, and a
+        # simulation stimulus holds at most that many nodes per gate.
+        bound = 1 << unitary_pair[0].num_qubits
 
-        for position, slot in enumerate(schedule.checkers):
-            if self.breakers is not None and not self.breakers.allow(slot.name):
-                # Breaker open: refuse the call instead of paying for another
-                # crash/timeout.  The attempt is recorded so batch statistics
-                # and the result's schedule stay honest about what was skipped.
-                trace.add_event("checker.quarantined", checker=slot.name)
-                attempts.append(
-                    self._observe_attempt(
+        slots = schedule.checkers
+        attempts: list[CheckerAttempt | None] = [None] * len(slots)
+        active: list[_Run] = []
+        admitted = 0
+        admit = True
+        decider: _Run | None = None
+        timed_out = False
+        while True:
+            # Admission: the lineup starts in order, one checker whenever
+            # none is running, plus one more when a running prover's diagram
+            # outgrows the bound.  The newcomer joins at equal DD work.
+            while admit and admitted < len(slots):
+                if deadline is not None and time.perf_counter() >= deadline:
+                    timed_out = True
+                    break
+                position, slot = admitted, slots[admitted]
+                admitted += 1
+                if self.breakers is not None and not self.breakers.allow(slot.name):
+                    # Breaker open: refuse the call instead of paying for
+                    # another crash/timeout.  The attempt is recorded so batch
+                    # statistics and the schedule stay honest about it.
+                    trace.add_event("checker.quarantined", checker=slot.name)
+                    attempts[position] = self._observe_attempt(
                         CheckerAttempt(
                             method=slot.name,
                             status="quarantined",
                             error="circuit breaker open: checker quarantined",
                         )
                     )
+                    continue
+                # The overall deadline is checked on its own after every step.
+                budget = slot.budget(config)
+                checker_cls = checker_registry.resolve(slot.name)
+                pair = (first, second) if checker_cls.scheme_two else unitary_pair
+                run = _Run(
+                    position=position,
+                    method=slot.name,
+                    prover=checker_cls.role == "prover",
+                    budget=budget,
+                    steps=self._checker_steps(slot.name, *pair, qubit_permutation),
+                    span=trace.start_span("checker.run", checker=slot.name),
+                    work=min((other.work for other in active), default=0),
                 )
+                if budget is not None:
+                    run.span.set_attr("budget", round(budget, 6))
+                active.insert(0, run)
+                admit = False
+            if not active:
+                break
+
+            run = min(active, key=attrgetter("work"))
+            began = time.perf_counter()
+            attempt = None
+            try:
+                nodes = next(run.steps) or 0
+            except StopIteration as stop:
+                attempt = CheckerAttempt(run.method, "completed", result=stop.value)
+            except Exception as error:  # noqa: BLE001 - isolate checker failures
+                attempt = CheckerAttempt(
+                    run.method, "error", error=f"{type(error).__name__}: {error}"
+                )
+            now = time.perf_counter()
+            run.elapsed += now - began
+            if attempt is None:
+                run.work += max(nodes, 1)
+                if run.prover and not run.joined and nodes > bound:
+                    run.joined = admit = True
+                    trace.add_event(
+                        "portfolio.join", checker=run.method, nodes=nodes, bound=bound
+                    )
+            if attempt is None or attempt.status == "completed":
+                # A step that overruns a budget, the last one included, is a
+                # timeout: its verdict came too late, and the breaker must see
+                # a checker that cannot be stopped in time.
+                if run.budget is not None and run.elapsed > run.budget:
+                    error = f"checker exceeded its budget of {run.budget:.6f}s"
+                    attempt = CheckerAttempt(run.method, "timeout", error=error)
+                elif deadline is not None and now > deadline:
+                    error = f"overall timeout of {config.timeout}s exhausted"
+                    attempt = CheckerAttempt(run.method, "timeout", error=error)
+            if attempt is None:
                 continue
-            budget = slot.budget(config)
-            if deadline is not None:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    attempts.extend(
-                        CheckerAttempt(method=name, status="skipped")
-                        for name in schedule_names[position:]
-                    )
-                    return PortfolioResult(
-                        criterion=indicative or EquivalenceCriterion.NO_INFORMATION,
-                        decided_by=None,
-                        reason=f"overall timeout of {config.timeout}s exhausted",
-                        attempts=attempts,
-                        total_time=time.perf_counter() - start,
-                        schedule=schedule_names,
-                        scheduler=schedule.scheduler,
-                        features=features_payload,
-                    )
-                budget = remaining if budget is None else min(budget, remaining)
+            run.steps.close()
+            active.remove(run)
+            attempts[run.position] = self._finish(run, attempt)
+            if attempt.result is not None and attempt.result.criterion in _DEFINITIVE:
+                decider = run
+                break
+            admit = not active
 
-            if checker_registry.resolve(slot.name).scheme_two:
-                pair = (original_first, original_second)
-            else:
-                pair = (unitary_first, unitary_second)
-            attempt = self._run_checker(slot.name, *pair, qubit_permutation, budget)
-            attempts.append(attempt)
-            if self.breakers is not None:
-                # Crashes and blown budgets both count against the breaker;
-                # any completed run (whatever it concluded) heals it.
-                self.breakers.record(slot.name, attempt.status == "completed")
-
-            if attempt.result is not None:
-                criterion = attempt.result.criterion
-                if criterion in _DEFINITIVE:
-                    attempts.extend(
-                        CheckerAttempt(method=name, status="skipped")
-                        for name in schedule_names[position + 1 :]
-                    )
-                    return PortfolioResult(
-                        criterion=criterion,
-                        decided_by=slot.name,
-                        reason=(
-                            f"{slot.name} returned {criterion.value} "
-                            f"after {attempt.time_taken:.6f}s"
-                        ),
-                        attempts=attempts,
-                        total_time=time.perf_counter() - start,
-                        schedule=schedule_names,
-                        scheduler=schedule.scheduler,
-                        features=features_payload,
-                    )
-                rank = _INDICATIVE_RANK.get(criterion, 0)
-                if indicative is None or rank > _INDICATIVE_RANK.get(indicative, 0):
-                    indicative = criterion
-                    indicative_method = slot.name
-
-        if indicative is not None:
+        # The first definitive verdict closes every other running checker.
+        for run in active:
+            run.steps.close()
+            attempts[run.position] = self._finish(
+                run, CheckerAttempt(run.method, "cancelled")
+            )
+        attempts = [
+            attempt or CheckerAttempt(method=slot.name, status="skipped")
+            for attempt, slot in zip(attempts, slots)
+        ]
+        if decider is not None:
+            criterion = attempts[decider.position].result.criterion
             reason = (
-                f"no checker was definitive; best indicative verdict "
-                f"{indicative.value} from {indicative_method}"
+                f"{decider.method} returned {criterion.value} "
+                f"after {decider.elapsed:.6f}s"
             )
         else:
-            reason = "no checker produced a verdict"
+            # No checker was definitive: fall back to the best indicative
+            # verdict (ties go to the earlier checker in the lineup).
+            best = max(
+                (attempt for attempt in attempts if attempt.result is not None),
+                key=lambda attempt: _INDICATIVE_RANK.get(attempt.result.criterion, 0),
+                default=None,
+            )
+            criterion = best.result.criterion if best is not None else None
+            if timed_out:
+                reason = f"overall timeout of {config.timeout}s exhausted"
+            elif best is not None:
+                reason = (
+                    f"no checker was definitive; best indicative verdict "
+                    f"{criterion.value} from {best.method}"
+                )
+            else:
+                reason = "no checker produced a verdict"
         return PortfolioResult(
-            criterion=indicative or EquivalenceCriterion.NO_INFORMATION,
-            decided_by=None,
+            criterion=criterion or EquivalenceCriterion.NO_INFORMATION,
+            decided_by=decider.method if decider is not None else None,
             reason=reason,
             attempts=attempts,
             total_time=time.perf_counter() - start,
-            schedule=schedule_names,
+            schedule=list(schedule.checker_names),
             scheduler=schedule.scheduler,
-            features=features_payload,
+            features=(
+                schedule.features.to_dict() if schedule.features is not None else None
+            ),
         )
 
-    def _run_checker(
+    def _checker_steps(
         self,
         method: str,
         first: QuantumCircuit,
         second: QuantumCircuit,
         qubit_permutation: dict[int, int] | None,
-        budget: float | None,
-    ) -> CheckerAttempt:
-        """Run one checker attempt inside its trace span."""
-        with trace.span("checker.run", checker=method) as checker_span:
-            if budget is not None:
-                checker_span.set_attr("budget", round(budget, 6))
-            attempt = self._run_checker_attempt(
-                method, first, second, qubit_permutation, budget
-            )
-            checker_span.set_attr("status", attempt.status)
-            if attempt.result is not None:
-                checker_span.set_attr("criterion", attempt.result.criterion.value)
-            if attempt.error is not None:
-                checker_span.set_attr("error", attempt.error)
-            return attempt
-
-    def _run_checker_attempt(
-        self,
-        method: str,
-        first: QuantumCircuit,
-        second: QuantumCircuit,
-        qubit_permutation: dict[int, int] | None,
-        budget: float | None,
-    ) -> CheckerAttempt:
-        """Run one checker, bounded by ``budget`` seconds (None = unbounded)."""
+    ) -> Generator[int | None, None, EquivalenceCheckResult]:
+        """One checker's step generator, returning its EquivalenceCheckResult."""
+        # Fired inside the first step, so an injected "sleep" counts against
+        # the checker's budget exactly like a slow checker would.
+        self.fault_injector.fire("checker", method)
         checker = EquivalenceChecker(self.configuration.updated(method=method))
-        started = time.perf_counter()
+        return (
+            yield from checker.steps(first, second, qubit_permutation=qubit_permutation)
+        )
 
-        try:
-            if budget is None:
-                self.fault_injector.fire("checker", method)
-                result = checker.run(first, second, qubit_permutation=qubit_permutation)
-            else:
-                # Python threads cannot be killed; on timeout the worker is
-                # abandoned and the portfolio moves on.  The stop flag makes
-                # the abandoned checker observe its cancellation between steps
-                # and bail out via CheckerInterrupted instead of running to
-                # completion — without it, batch runs with tight budgets
-                # accumulate daemon threads burning CPU on dead work.
-                stop = threading.Event()
-                outcome: dict = {}
-
-                def worker():
-                    try:
-                        # Injected inside the budgeted thread so a "sleep"
-                        # fault models a slow checker that blows its budget.
-                        self.fault_injector.fire("checker", method)
-                        outcome["result"] = checker.run(
-                            first,
-                            second,
-                            qubit_permutation=qubit_permutation,
-                            interrupt=stop.is_set,
-                        )
-                    except CheckerInterrupted:
-                        pass  # cancelled after timeout; exit quietly
-                    except Exception as error:  # noqa: BLE001 - re-raised below
-                        outcome["error"] = error
-
-                thread = threading.Thread(
-                    target=worker, name=f"checker-{method}", daemon=True
-                )
-                thread.start()
-                thread.join(timeout=budget)
-                if thread.is_alive():
-                    stop.set()
-                    return self._observe_attempt(
-                        CheckerAttempt(
-                            method=method,
-                            status="timeout",
-                            error=f"checker exceeded its budget of {budget:.6f}s",
-                            time_taken=time.perf_counter() - started,
-                        )
-                    )
-                if "error" in outcome:
-                    raise outcome["error"]
-                result = outcome["result"]
-            return self._observe_attempt(
-                CheckerAttempt(
-                    method=method,
-                    status="completed",
-                    result=result,
-                    time_taken=time.perf_counter() - started,
-                )
-            )
-        except Exception as error:  # noqa: BLE001 - isolate checker failures
-            return self._observe_attempt(
-                CheckerAttempt(
-                    method=method,
-                    status="error",
-                    error=f"{type(error).__name__}: {error}",
-                    time_taken=time.perf_counter() - started,
-                )
-            )
+    def _finish(self, run: "_Run", attempt: CheckerAttempt) -> CheckerAttempt:
+        """Settle one started checker: timing, span, breaker, observers."""
+        attempt.time_taken = run.elapsed
+        run.span.set_attr("status", attempt.status)
+        if attempt.result is not None:
+            run.span.set_attr("criterion", attempt.result.criterion.value)
+        if attempt.error is not None:
+            run.span.set_attr("error", attempt.error)
+        trace.finish_span(run.span)
+        if self.breakers is not None and attempt.status == "cancelled":
+            # Closed because another checker decided: no verdict on its
+            # health, but a half-open probe must not stay in flight forever.
+            self.breakers.release(run.method)
+        elif self.breakers is not None:
+            # Crashes and blown budgets both count against the breaker; any
+            # completed run (whatever it concluded) heals it.
+            self.breakers.record(run.method, attempt.status == "completed")
+        return self._observe_attempt(attempt)
 
     def _count_run(self, outcome: str) -> None:
         if self.metrics is None:
@@ -664,8 +670,6 @@ class EquivalenceCheckingManager:
         return attempt
 
     def _accumulate_dd_statistics(self, checker: str, statistics: dict) -> None:
-        from repro.service.metrics import merge_dd_statistics
-
         with self._dd_stats_lock:
             merge_dd_statistics(self._dd_stats.setdefault(checker, {}), statistics)
 
@@ -682,13 +686,11 @@ class EquivalenceCheckingManager:
 
     def _absorb_worker_dd_statistics(self, per_checker: dict[str, dict]) -> None:
         """Fold a work unit's DD counters into the parent's view and metrics."""
-        if not per_checker:
-            return
-        from repro.service.metrics import publish_dd_statistics
-
         for checker, statistics in per_checker.items():
             self._accumulate_dd_statistics(checker, statistics)
             if self.metrics is not None:
+                from repro.service.metrics import publish_dd_statistics
+
                 publish_dd_statistics(self.metrics, statistics, checker=checker)
 
     def _record_telemetry(
@@ -823,12 +825,7 @@ class EquivalenceCheckingManager:
             # Telemetry for parent-side cache hits (duplicate fan-outs below
             # are copies of the same observation and are not re-recorded).
             self._record_telemetry(cached, fingerprint)
-            entries[index] = BatchEntry(
-                index=index,
-                name_first=getattr(first, "name", None) or f"first[{index}]",
-                name_second=getattr(second, "name", None) or f"second[{index}]",
-                result=cached,
-            )
+            entries[index] = _named_entry(index, first, second, result=cached)
 
         dispatch_pairs = [pairs[index] for index in dispatch_indices]
         if self.configuration.executor == "process":
@@ -861,11 +858,7 @@ class EquivalenceCheckingManager:
                 continue
             started = time.perf_counter()
             first, second = pairs[index]
-            entry = BatchEntry(
-                index=index,
-                name_first=getattr(first, "name", None) or f"first[{index}]",
-                name_second=getattr(second, "name", None) or f"second[{index}]",
-            )
+            entry = _named_entry(index, first, second)
             source = entries[representative[fingerprint]]
             cached = self.verdict_cache.get(fingerprint) if source.result else None
             if cached is not None:
@@ -1060,11 +1053,8 @@ class EquivalenceCheckingManager:
             executor.shutdown(wait=False, cancel_futures=True)
         for index, (first, second) in enumerate(pairs):
             if entries[index] is None:  # defensive: a worker under-delivered
-                entries[index] = BatchEntry(
-                    index=index,
-                    name_first=getattr(first, "name", None) or f"first[{index}]",
-                    name_second=getattr(second, "name", None) or f"second[{index}]",
-                    error="worker returned no entry for this pair",
+                entries[index] = _named_entry(
+                    index, first, second, error="worker returned no entry for this pair"
                 )
         return entries
 
@@ -1116,11 +1106,8 @@ class EquivalenceCheckingManager:
             **fields(pairs=len(unit), error=f"{type(error).__name__}: {error}"),
         )
         for index, first, second in unit:
-            entries[index] = BatchEntry(
-                index=index,
-                name_first=getattr(first, "name", None) or f"first[{index}]",
-                name_second=getattr(second, "name", None) or f"second[{index}]",
-                error=f"{type(error).__name__}: {error}",
+            entries[index] = _named_entry(
+                index, first, second, error=f"{type(error).__name__}: {error}"
             )
 
     def batch_statistics(self) -> dict:
@@ -1161,11 +1148,7 @@ class EquivalenceCheckingManager:
         consult_cache: bool = True,
     ) -> BatchEntry:
         started = time.perf_counter()
-        entry = BatchEntry(
-            index=index,
-            name_first=getattr(first, "name", None) or f"first[{index}]",
-            name_second=getattr(second, "name", None) or f"second[{index}]",
-        )
+        entry = _named_entry(index, first, second)
         try:
             if consult_cache:
                 entry.result = self.run(first, second, schedule=schedule)
@@ -1204,3 +1187,13 @@ def verify_batch(
 ) -> BatchResult:
     """Verify many circuit pairs concurrently (convenience wrapper)."""
     return EquivalenceCheckingManager(configuration, **overrides).verify_batch(pairs)
+
+
+def _named_entry(index: int, first, second, **attrs) -> BatchEntry:
+    """A batch entry named after its circuits, or after its input position."""
+    return BatchEntry(
+        index=index,
+        name_first=getattr(first, "name", None) or f"first[{index}]",
+        name_second=getattr(second, "name", None) or f"second[{index}]",
+        **attrs,
+    )

@@ -5,7 +5,7 @@ the bookkeeping of the portfolio manager
 (:class:`~repro.core.manager.EquivalenceCheckingManager`):
 
 * :class:`CheckerAttempt` — one checker's run within a portfolio (completed,
-  timed out, errored, or skipped after early termination),
+  timed out, errored, or cancelled/skipped after early termination),
 * :class:`PortfolioResult` — the combined verdict, recording which checker
   decided and why,
 * :class:`BatchEntry` / :class:`BatchResult` — per-pair outcomes and aggregate
@@ -120,14 +120,17 @@ class CheckerAttempt:
         ``alternating``, ``construction``, ``distribution``, or a
         third-party checker).
     status:
-        ``completed``, ``timeout``, ``error`` or ``skipped`` (a later checker
-        that never ran because an earlier one terminated the portfolio).
+        ``completed``, ``timeout``, ``error``, ``quarantined`` (refused by
+        its circuit breaker), ``cancelled`` (running when another checker
+        decided) or ``skipped`` (never started because another checker
+        decided first).
     result:
         The checker's :class:`EquivalenceCheckResult` when it completed.
     error:
         Error message for ``status == "error"``.
     time_taken:
-        Wall-clock seconds this attempt consumed (0 for skipped checkers).
+        Wall-clock seconds spent in this checker's own steps (0 for skipped
+        checkers).
     """
 
     method: str

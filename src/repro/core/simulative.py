@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable
-
-import numpy as np
+from collections.abc import Generator
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.dd.package import DDPackage
 from repro.exceptions import EquivalenceCheckingError
 from repro.simulators.dd_simulator import DDSimulator, DDState
-from repro.simulators.statevector import Statevector, StatevectorSimulator
+from repro.simulators.statevector import StatevectorSimulator
+from repro.utils.steps import drive
 
-__all__ = ["run_simulative_check"]
+__all__ = ["run_simulative_check", "simulation_steps"]
 
 
 def _random_basis_stimulus(num_qubits: int, rng: random.Random) -> str:
@@ -39,6 +38,18 @@ def _random_product_circuit(num_qubits: int, rng: random.Random) -> QuantumCircu
 
 
 def run_simulative_check(
+    first: QuantumCircuit, second: QuantumCircuit, **options
+) -> tuple[bool, dict]:
+    """Compare two unitary circuits on random stimuli.
+
+    Returns ``(no_counterexample_found, details)``; ``details`` records the
+    minimum fidelity observed and, for a failing run, the offending stimulus.
+    ``options`` are the keyword arguments of :func:`simulation_steps`.
+    """
+    return drive(simulation_steps(first, second, **options))
+
+
+def simulation_steps(
     first: QuantumCircuit,
     second: QuantumCircuit,
     *,
@@ -51,16 +62,11 @@ def run_simulative_check(
     gate_cache_size: int | None = None,
     gate_cache_ttl: float | None = None,
     dense_cutoff: int = 0,
-    interrupt: "Callable[[], bool] | None" = None,
-) -> tuple[bool, dict]:
-    """Compare two unitary circuits on random stimuli.
+) -> Generator[int | None, None, tuple[bool, dict]]:
+    """:func:`run_simulative_check` as a step generator, one step per stimulus.
 
-    Returns ``(no_counterexample_found, details)``; ``details`` records the
-    minimum fidelity observed and, for a failing run, the offending stimulus.
-    ``interrupt`` is an optional cancellation probe polled before every
-    stimulus — a cancelled check raises
-    :class:`~repro.core.checkers.base.CheckerInterrupted` instead of burning
-    through the remaining stimuli on an abandoned thread.
+    Each passing stimulus yields the node count of the two output states
+    (None on the dense backend); a mismatch returns without yielding.
     """
     if first.num_qubits != second.num_qubits:
         raise EquivalenceCheckingError(
@@ -90,10 +96,6 @@ def run_simulative_check(
     )
 
     for run in range(num_simulations):
-        if interrupt is not None and interrupt():
-            from repro.core.checkers.base import CheckerInterrupted
-
-            raise CheckerInterrupted
         if stimuli_type == "basis":
             stimulus = _random_basis_stimulus(num_qubits, rng)
             circuit_one = first
@@ -112,10 +114,12 @@ def run_simulative_check(
             # Share the package so that fidelities can be computed directly.
             state_two = DDSimulator().run(circuit_two, _rebuild_in_package(state_one, initial, num_qubits), package=state_one.package)
             fidelity = state_one.fidelity(state_two)
+            nodes = state_one.num_nodes + state_two.num_nodes
         elif backend == "dense":
             state_one = StatevectorSimulator().run(circuit_one, initial)
             state_two = StatevectorSimulator().run(circuit_two, initial)
             fidelity = state_one.fidelity(state_two)
+            nodes = None
         else:
             raise EquivalenceCheckingError(f"unknown backend {backend!r}")
 
@@ -126,6 +130,7 @@ def run_simulative_check(
             if stimuli_type == "basis":
                 details["counterexample"] = stimulus
             return False, details
+        yield nodes
 
     details["min_fidelity"] = min_fidelity
     return True, details
@@ -138,23 +143,3 @@ def _rebuild_in_package(reference: DDState, initial, num_qubits: int):
     if isinstance(initial, str):
         return DDState.from_bitstring(initial, reference.package)
     return DDState.basis_state(num_qubits, int(initial), reference.package)
-
-
-def random_stimulus_fidelity(
-    first: QuantumCircuit,
-    second: QuantumCircuit,
-    stimulus: str,
-) -> float:
-    """Fidelity of the two circuits' outputs for one basis-state stimulus.
-
-    Convenience helper used in tests and examples; dense backend.
-    """
-    state_one = StatevectorSimulator().run(first, stimulus)
-    state_two = StatevectorSimulator().run(second, stimulus)
-    return state_one.fidelity(state_two)
-
-
-def statevectors_close(first: np.ndarray, second: np.ndarray, tolerance: float = 1e-9) -> bool:
-    """Whether two dense state vectors coincide up to a global phase."""
-    overlap = abs(np.vdot(first, second))
-    return overlap**2 > 1.0 - tolerance

@@ -9,7 +9,7 @@ through their gate definition.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import ControlledGate, Gate, GlobalPhaseGate
@@ -23,6 +23,7 @@ __all__ = [
     "circuit_to_unitary_dd",
     "gate_to_dd",
     "instruction_to_dd",
+    "unitary_dd_steps",
 ]
 
 
@@ -90,32 +91,29 @@ def instruction_to_dd(package: DDPackage, instruction: Instruction) -> MEdge:
     return result
 
 
-def circuit_to_unitary_dd(
-    package: DDPackage,
-    circuit: QuantumCircuit,
-    *,
-    interrupt: "Callable[[], bool] | None" = None,
-) -> MEdge:
-    """Build the matrix DD of the whole (unitary) circuit.
+def unitary_dd_steps(package: DDPackage, circuit: QuantumCircuit) -> Iterator[MEdge]:
+    """Build the matrix DD of a (unitary) circuit one gate at a time.
 
-    Trailing read-out measurements are ignored; dynamic primitives raise.
-    ``interrupt`` is an optional cancellation probe polled between gate
-    applications (see :class:`repro.core.checkers.base.Checker`); when it
-    fires the build raises ``CheckerInterrupted`` instead of finishing on an
-    abandoned thread.
+    Yields the partial product — the identity first, then the product after
+    every gate — so the last value is the circuit's unitary.  Trailing
+    read-out measurements are ignored; dynamic primitives raise.
     """
     if circuit.num_qubits != package.num_qubits:
         raise DDError(
             f"circuit has {circuit.num_qubits} qubits, package has {package.num_qubits}"
         )
     unitary = package.identity()
+    yield unitary
     multiply = package.multiply_matrices
     for instruction in circuit.remove_final_measurements().gate_instructions():
-        if interrupt is not None and interrupt():
-            from repro.core.checkers.base import CheckerInterrupted
-
-            raise CheckerInterrupted
         unitary = multiply(instruction_to_dd(package, instruction), unitary)
+        yield unitary
+
+
+def circuit_to_unitary_dd(package: DDPackage, circuit: QuantumCircuit) -> MEdge:
+    """Build the matrix DD of the whole (unitary) circuit."""
+    for unitary in unitary_dd_steps(package, circuit):
+        pass
     return unitary
 
 

@@ -72,12 +72,39 @@ from repro.dd.nodes import M_ONE, M_ZERO, MEdge, MNode, V_ONE, V_ZERO, VEdge, VN
 from repro.dd.unique_table import UniqueTable
 from repro.exceptions import DDError
 
-__all__ = ["DDPackage"]
+__all__ = ["DDPackage", "DD_COUNTER_KEYS", "merge_dd_statistics"]
 
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 _ID2 = np.eye(2, dtype=complex)
 _X2 = np.array([[0, 1], [1, 0]], dtype=complex)
+
+#: :meth:`DDPackage.statistics` keys that accumulate as counters; everything
+#: else in the statistics dict is a point-in-time size.
+DD_COUNTER_KEYS = (
+    "gate_cache_hits",
+    "gate_cache_misses",
+    "gate_cache_evictions",
+    "gate_cache_expirations",
+    "chain_cache_evictions",
+    "chain_cache_expirations",
+)
+
+
+def merge_dd_statistics(accumulator: dict, statistics: dict) -> dict:
+    """Merge one :meth:`DDPackage.statistics` snapshot into an accumulator.
+
+    Counter keys add up; the point-in-time node counts keep the most recent
+    snapshot's value (the manager's per-checker totals across a batch).
+    """
+    for key in DD_COUNTER_KEYS:
+        value = statistics.get(key)
+        if value:
+            accumulator[key] = accumulator.get(key, 0) + int(value)
+    for kind in ("vector_nodes", "matrix_nodes"):
+        if kind in statistics:
+            accumulator[kind] = statistics[kind]
+    return accumulator
 
 
 class DDPackage:

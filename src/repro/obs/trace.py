@@ -51,10 +51,12 @@ __all__ = [
     "current_tracer",
     "current_traceparent",
     "export_chrome",
+    "finish_span",
     "format_traceparent",
     "parse_traceparent",
     "span",
     "span_tree",
+    "start_span",
 ]
 
 _TRACEPARENT_RE = re.compile(r"^00-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})$")
@@ -365,6 +367,27 @@ def activate(
         _SCOPE.reset(token)
 
 
+def start_span(name: str, **attrs) -> Span | _NoopSpan:
+    """A child span of the current scope that does not become current.
+
+    For work interleaved with its siblings in one thread (the portfolio's
+    checker steps); :func:`finish_span` ends it in the same scope.
+    """
+    scope = _SCOPE.get()
+    if scope is None:
+        return NOOP_SPAN
+    tracer, active, remote_parent = scope
+    parent_id = active.span_id if active is not None else remote_parent
+    return Span(name, trace_id=tracer.trace_id, parent_id=parent_id, attrs=attrs)
+
+
+def finish_span(opened: Span | _NoopSpan) -> None:
+    """End and record a span opened with :func:`start_span`."""
+    scope = _SCOPE.get()
+    if scope is not None and opened is not NOOP_SPAN:
+        scope[0].record(opened)
+
+
 @contextmanager
 def span(name: str, **attrs) -> Iterator[Span | _NoopSpan]:
     """Open a child span of the current scope (no-op without a tracer).
@@ -373,13 +396,11 @@ def span(name: str, **attrs) -> Iterator[Span | _NoopSpan]:
     exception marks it ``status="error"`` with the exception text before
     re-raising.
     """
-    scope = _SCOPE.get()
-    if scope is None:
+    current = start_span(name, **attrs)
+    if current is NOOP_SPAN:
         yield NOOP_SPAN
         return
-    tracer, active, remote_parent = scope
-    parent_id = active.span_id if active is not None else remote_parent
-    current = Span(name, trace_id=tracer.trace_id, parent_id=parent_id, attrs=attrs)
+    tracer, _, remote_parent = _SCOPE.get()
     token = _SCOPE.set((tracer, current, remote_parent))
     try:
         yield current

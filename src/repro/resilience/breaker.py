@@ -86,7 +86,8 @@ class CircuitBreaker:
         In the open state this returns False (and counts a rejection) until
         the cooldown elapses; the first ``allow()`` after the cooldown admits
         exactly one half-open probe, and further calls are refused until that
-        probe is resolved by :meth:`record_success` / :meth:`record_failure`.
+        probe is resolved by :meth:`record_success` / :meth:`record_failure`
+        or freed by :meth:`release`.
         """
         probe = False
         try:
@@ -127,6 +128,12 @@ class CircuitBreaker:
                 closed = True
         if closed:
             self._transition("closed", "probe succeeded")
+
+    def release(self) -> None:
+        """Settle a call that neither succeeded nor failed (it was cancelled):
+        counters stay as they are, a half-open probe slot is freed."""
+        with self._lock:
+            self._probe_in_flight = False
 
     def record_failure(self) -> None:
         opened: str | None = None
@@ -236,6 +243,9 @@ class BreakerBoard:
             self.breaker(name).record_success()
         else:
             self.breaker(name).record_failure()
+
+    def release(self, name: str) -> None:
+        self.breaker(name).release()
 
     def quarantined(self) -> tuple[str, ...]:
         """Names whose breaker is currently open (cooldown not yet expired)."""

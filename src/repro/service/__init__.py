@@ -31,29 +31,25 @@ The cache is also consulted by
 dedupes identical pairs *within* a batch.
 """
 
-from repro.service.aserver import AsyncVerificationServer
-from repro.service.cache import CachedVerdict, VerdictCache
-from repro.service.client import VerificationClient
-from repro.service.fingerprint import (
-    circuit_fingerprint,
-    configuration_fingerprint,
-    pair_fingerprint,
-)
-from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.service.server import VerificationServer, VerificationService
+import importlib
 
-__all__ = [
-    "AsyncVerificationServer",
-    "CachedVerdict",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "VerdictCache",
-    "VerificationClient",
-    "VerificationServer",
-    "VerificationService",
-    "circuit_fingerprint",
-    "configuration_fingerprint",
-    "pair_fingerprint",
-]
+#: Public names by defining submodule, imported on first access (PEP 562), so
+#: the manager's cache and metrics imports never pull in the HTTP stack.
+_EXPORTS = {
+    "aserver": ("AsyncVerificationServer",),
+    "cache": ("CachedVerdict", "VerdictCache"),
+    "client": ("VerificationClient",),
+    "fingerprint": ("circuit_fingerprint", "configuration_fingerprint", "pair_fingerprint"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "server": ("VerificationServer", "VerificationService"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -50,6 +50,7 @@ from repro.obs.logs import fields, get_logger
 from repro.service.server import (
     _MAX_BODY_BYTES,
     VerificationService,
+    parse_submission,
     parse_wait_seconds,
 )
 
@@ -412,18 +413,7 @@ class AsyncVerificationServer:
             if parts != ["jobs"]:
                 raise ServiceError(f"unknown endpoint {target!r}", status=404)
             self._check_rate_limit(peer)
-            try:
-                payload = json.loads(body or b"{}")
-            except ValueError as error:
-                raise ServiceError(
-                    f"request body is not JSON: {error}", status=400
-                ) from error
-            first = payload.get("first") if isinstance(payload, dict) else None
-            second = payload.get("second") if isinstance(payload, dict) else None
-            if not isinstance(first, str) or not isinstance(second, str):
-                raise ServiceError(
-                    "body must be {'first': <qasm>, 'second': <qasm>}", status=400
-                )
+            first, second = parse_submission(body)
             # QASM parsing + canonical fingerprinting is CPU work; keep it
             # off the event loop so slow submissions cannot stall long-poll
             # wakeups and health checks.

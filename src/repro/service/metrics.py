@@ -9,9 +9,9 @@ front ends (`repro.service.server` and `repro.service.aserver`) export at
 
 Design notes
 ------------
-* **Stdlib only, no repro imports.**  The registry sits below every other
-  service module (and even below :mod:`repro.dd.package`, which publishes
-  into it), so it must not import any of them.
+* **Stdlib only, no module-level repro imports.**  The registry sits below
+  every other service module (and even below :mod:`repro.dd.package`, which
+  publishes into it), so it must not import any of them at load time.
 * **Instruments are cheap and thread-safe.**  Checker worker threads observe
   latencies concurrently with HTTP scrape threads rendering the exposition;
   a single registry lock covers both.
@@ -34,7 +34,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_dd_statistics",
     "publish_dd_statistics",
     "publish_rewrite_statistics",
 ]
@@ -351,18 +350,6 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
-#: ``DDPackage.statistics()`` keys that accumulate as counters; everything
-#: else in the statistics dict is a point-in-time size and is not exported.
-_DD_COUNTER_KEYS = (
-    "gate_cache_hits",
-    "gate_cache_misses",
-    "gate_cache_evictions",
-    "gate_cache_expirations",
-    "chain_cache_evictions",
-    "chain_cache_expirations",
-)
-
-
 def publish_dd_statistics(
     registry: MetricsRegistry, statistics: dict, checker: str = "unknown"
 ) -> None:
@@ -373,12 +360,13 @@ def publish_dd_statistics(
     harvests the ``dd_statistics`` payload each DD-based checker leaves in
     its result details.
     """
+    from repro.dd.package import DD_COUNTER_KEYS
     counter = registry.counter(
         "repro_dd_events_total",
         "Decision-diagram backend events accumulated across checker runs.",
         labelnames=("checker", "event"),
     )
-    for key in _DD_COUNTER_KEYS:
+    for key in DD_COUNTER_KEYS:
         value = statistics.get(key)
         if value:
             counter.inc(float(value), checker=checker, event=key)
@@ -390,25 +378,6 @@ def publish_dd_statistics(
     for kind in ("vector_nodes", "matrix_nodes"):
         if kind in statistics:
             nodes.set(float(statistics[kind]), checker=checker, kind=kind)
-
-
-def merge_dd_statistics(accumulator: dict, statistics: dict) -> dict:
-    """Merge one ``DDPackage.statistics()`` snapshot into an accumulator.
-
-    Counter keys add up; the point-in-time node counts keep the most recent
-    snapshot's value.  Used by the manager to aggregate per-checker DD
-    activity across a batch — including snapshots harvested from
-    process-pool work-unit results, whose worker-side accumulators die with
-    the pool.
-    """
-    for key in _DD_COUNTER_KEYS:
-        value = statistics.get(key)
-        if value:
-            accumulator[key] = accumulator.get(key, 0) + int(value)
-    for kind in ("vector_nodes", "matrix_nodes"):
-        if kind in statistics:
-            accumulator[kind] = statistics[kind]
-    return accumulator
 
 
 #: ``rewrite_statistics`` keys that accumulate as counters (events per run).

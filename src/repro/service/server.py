@@ -914,6 +914,19 @@ def parse_wait_seconds(query: dict[str, list[str]]) -> float:
     return min(wait, MAX_LONG_POLL_SECONDS)
 
 
+def parse_submission(body: bytes) -> tuple[str, str]:
+    """The two QASM texts of a ``POST /jobs`` body; 400 for anything else."""
+    try:
+        payload = json.loads(body or b"{}")
+    except ValueError as error:
+        raise ServiceError(f"request body is not JSON: {error}", status=400) from None
+    if isinstance(payload, dict):
+        first, second = payload.get("first"), payload.get("second")
+        if isinstance(first, str) and isinstance(second, str):
+            return first, second
+    raise ServiceError("body must be {'first': <qasm>, 'second': <qasm>}", status=400)
+
+
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
     """Thin JSON-over-HTTP routing onto the owning :class:`VerificationService`."""
 
@@ -1039,16 +1052,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 raise ServiceError(
                     f"request body exceeds {_MAX_BODY_BYTES} bytes", status=413
                 )
-            try:
-                payload = json.loads(self.rfile.read(length) or b"{}")
-            except ValueError as error:
-                raise ServiceError(f"request body is not JSON: {error}", status=400)
-            first = payload.get("first")
-            second = payload.get("second")
-            if not isinstance(first, str) or not isinstance(second, str):
-                raise ServiceError(
-                    "body must be {'first': <qasm>, 'second': <qasm>}", status=400
-                )
+            first, second = parse_submission(self.rfile.read(length))
             return 202, self.service.submit_qasm(
                 first, second, traceparent=self.headers.get("Traceparent")
             )

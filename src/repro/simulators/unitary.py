@@ -10,7 +10,7 @@ for small instances and in the test suite.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "embed_gate_matrix",
     "matrices_equal_up_to_global_phase",
     "process_fidelity",
+    "unitary_steps",
 ]
 
 
@@ -65,19 +66,13 @@ def embed_gate_matrix(
     return full
 
 
-def circuit_unitary(
-    circuit: QuantumCircuit,
-    *,
-    interrupt: "Callable[[], bool] | None" = None,
-) -> np.ndarray:
-    """Return the system matrix of a unitary circuit.
+def unitary_steps(circuit: QuantumCircuit) -> Iterator[np.ndarray]:
+    """Build the system matrix of a unitary circuit one gate at a time.
 
+    Yields the partial product — the identity first, then the product after
+    every gate — so the last value is the circuit's system matrix.
     Trailing read-out measurements are ignored (they do not change the
     functionality being compared); any other non-unitary primitive raises.
-    ``interrupt`` is an optional cancellation probe polled between gate
-    applications (see :class:`repro.core.checkers.base.Checker`); when it
-    fires the build raises ``CheckerInterrupted`` instead of finishing on an
-    abandoned thread.
     """
     if circuit.is_dynamic:
         raise SimulationError(
@@ -86,11 +81,8 @@ def circuit_unitary(
         )
     num_qubits = circuit.num_qubits
     unitary = np.eye(1 << num_qubits, dtype=complex)
+    yield unitary
     for instruction in circuit.remove_final_measurements():
-        if interrupt is not None and interrupt():
-            from repro.core.checkers.base import CheckerInterrupted
-
-            raise CheckerInterrupted
         if instruction.is_barrier or instruction.is_measurement:
             continue
         gate = instruction.operation
@@ -98,9 +90,16 @@ def circuit_unitary(
             raise SimulationError(f"unexpected non-gate instruction {instruction!r}")
         if isinstance(gate, GlobalPhaseGate):
             unitary = np.exp(1j * gate.phase) * unitary
-            continue
-        embedded = embed_gate_matrix(gate.matrix, instruction.qubits, num_qubits)
-        unitary = embedded @ unitary
+        else:
+            embedded = embed_gate_matrix(gate.matrix, instruction.qubits, num_qubits)
+            unitary = embedded @ unitary
+        yield unitary
+
+
+def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
+    """Return the system matrix of a unitary circuit (see :func:`unitary_steps`)."""
+    for unitary in unitary_steps(circuit):
+        pass
     return unitary
 
 

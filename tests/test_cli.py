@@ -222,7 +222,7 @@ class TestPortfolioAndBatch:
         # Regression: batch --json used to drop all checker-level detail.
         for entry in payload["entries"]:
             assert entry["decided_by"] is not None
-            assert entry["schedule"] == ["simulation", "alternating"]
+            assert entry["schedule"] == ["alternating", "simulation"]
             assert entry["scheduler"] == "static"
             statuses = {a["method"]: a["status"] for a in entry["checkers"]}
             assert statuses[entry["decided_by"]] == "completed"

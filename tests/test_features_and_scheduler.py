@@ -18,6 +18,7 @@ from repro.algorithms import (
     teleportation_static,
 )
 from repro.circuit import QuantumCircuit
+from repro.circuit.random_circuits import random_static_circuit
 from repro.core import (
     Checker,
     CheckerOutcome,
@@ -274,6 +275,9 @@ def _agreement_pairs():
         (qft_static_benchmark(4), qft_dynamic(4)),
         (ghz_ladder(3), ghz_with_bug(3)),
         (bernstein_vazirani_static("101"), bernstein_vazirani_dynamic("111")),
+        # Unrelated pair: the alternating product outgrows 2^n, so the
+        # default lineup hands off to the simulation falsifier.
+        (qft_static_benchmark(5), random_static_circuit(5, depth=5, seed=12)),
     ]
     return pairs
 
@@ -282,20 +286,34 @@ class TestSchedulerAgreement:
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_adaptive_never_changes_a_verdict(self, executor):
         # Acceptance criterion: entry-for-entry identical criteria between
-        # scheduler="static" and scheduler="adaptive", on both executors.
+        # scheduler="static" and scheduler="adaptive", on both executors —
+        # for the library's default lineup and the explicit falsifier-first
+        # one, which must in turn agree with each other.
         pairs = _agreement_pairs()
-        static = EquivalenceCheckingManager(
-            seed=SEED, scheduler="static", executor=executor, max_workers=2
-        ).verify_batch(pairs)
-        adaptive = EquivalenceCheckingManager(
-            seed=SEED, scheduler="adaptive", executor=executor, max_workers=2
-        ).verify_batch(pairs)
-        assert static.num_pairs == adaptive.num_pairs == len(pairs)
-        for static_entry, adaptive_entry in zip(static.entries, adaptive.entries):
-            assert static_entry.error is None and adaptive_entry.error is None
-            assert (
-                adaptive_entry.result.criterion is static_entry.result.criterion
-            ), adaptive_entry.index
+        criteria = {}
+        for portfolio in (None, ("simulation", "alternating")):
+            static = EquivalenceCheckingManager(
+                seed=SEED,
+                scheduler="static",
+                executor=executor,
+                max_workers=2,
+                portfolio=portfolio,
+            ).verify_batch(pairs)
+            adaptive = EquivalenceCheckingManager(
+                seed=SEED,
+                scheduler="adaptive",
+                executor=executor,
+                max_workers=2,
+                portfolio=portfolio,
+            ).verify_batch(pairs)
+            assert static.num_pairs == adaptive.num_pairs == len(pairs)
+            for static_entry, adaptive_entry in zip(static.entries, adaptive.entries):
+                assert static_entry.error is None and adaptive_entry.error is None
+                assert (
+                    adaptive_entry.result.criterion is static_entry.result.criterion
+                ), adaptive_entry.index
+            criteria[portfolio] = [entry.result.criterion for entry in static.entries]
+        assert criteria[None] == criteria[("simulation", "alternating")]
 
     def test_process_workers_replay_parent_schedules(self):
         pairs = _agreement_pairs()
@@ -316,11 +334,39 @@ class _NeverDecides(Checker):
     name = "never-decides"
     role = "falsifier"
 
-    def check(self, first, second, configuration, *, interrupt=None):
+    def check(self, first, second, configuration):
         return CheckerOutcome(EquivalenceCriterion.NO_INFORMATION, {"custom": True})
 
 
+class _SlowRefuter(Checker):
+    """A ``check()``-only checker: one step that no budget can interrupt."""
+
+    name = "slow-refuter"
+    role = "falsifier"
+
+    def check(self, first, second, configuration):
+        time.sleep(0.05)
+        return CheckerOutcome(EquivalenceCriterion.NOT_EQUIVALENT)
+
+
 class TestCheckerRegistry:
+    def test_single_step_checker_overrunning_its_budget_is_a_timeout(self):
+        # The step cannot be cut short, but the verdict it returns too late
+        # is discarded and the attempt counts as a timeout (breaker input).
+        register_checker(_SlowRefuter)
+        try:
+            manager = EquivalenceCheckingManager(
+                portfolio=("slow-refuter",), checker_timeout=0.01, seed=SEED
+            )
+            result = manager.run(ghz_ladder(3), ghz_ladder(3))
+        finally:
+            unregister_checker("slow-refuter")
+        (attempt,) = result.attempts
+        assert attempt.status == "timeout"
+        assert attempt.time_taken >= 0.05
+        assert result.criterion is EquivalenceCriterion.NO_INFORMATION
+        assert manager.breakers.snapshot()["slow-refuter"]["failures"] == 1
+
     def test_third_party_checker_plugs_in_by_name(self):
         register_checker(_NeverDecides)
         try:
@@ -334,6 +380,15 @@ class TestCheckerRegistry:
             assert custom.result.details == {"custom": True}
         finally:
             unregister_checker("never-decides")
+
+    def test_checker_without_steps_or_check_rejected(self):
+        # Checker.steps and Checker.check default to each other; a class
+        # overriding neither would recurse forever once stepped.
+        class _Empty(Checker):
+            name = "empty"
+
+        with pytest.raises(EquivalenceCheckingError, match="steps"):
+            register_checker(_Empty)
 
     def test_duplicate_registration_rejected(self):
         register_checker(_NeverDecides)
@@ -375,11 +430,11 @@ class TestCheckerRegistry:
 class TestTimeoutStopFlag:
     @pytest.mark.parametrize("checker", ["alternating", "construction"])
     def test_timed_out_checker_thread_observes_stop_flag(self, checker):
-        # Satellite: timed-out checker threads used to run to completion in
-        # the background; with the stop flag they must exit shortly after the
-        # portfolio abandons them.  Both the per-gate loops of the alternating
-        # scheme and the monolithic DD build of the construction scheme poll
-        # the flag.
+        # Timed-out checkers used to keep running on abandoned threads.  The
+        # manager now steps checkers in the calling thread and closes a
+        # checker whose budget ran out between two of its steps (per gate
+        # for both the alternating and the construction scheme), so no
+        # checker thread exists at all.
         manager = EquivalenceCheckingManager(
             portfolio=(checker,), checker_timeout=0.005, seed=SEED
         )

@@ -1,5 +1,7 @@
 """Tests for the portfolio verification manager."""
 
+import threading
+
 import pytest
 
 from repro.algorithms import (
@@ -7,12 +9,16 @@ from repro.algorithms import (
     bernstein_vazirani_static,
     ghz_ladder,
     ghz_with_bug,
+    iterative_qpe,
     qft_dynamic,
     qft_static_benchmark,
+    qpe_static,
+    running_example_lambda,
     teleportation_dynamic,
     teleportation_static,
 )
 from repro.circuit import QuantumCircuit
+from repro.circuit.random_circuits import random_static_circuit
 from repro.core import (
     Configuration,
     EquivalenceCheckingManager,
@@ -23,8 +29,9 @@ from repro.core import (
 )
 from repro.core import chunk_pairs
 from repro.core.manager import DEFAULT_PORTFOLIO
-from repro.core.results import CheckerAttempt, EquivalenceCheckResult
+from repro.core.results import EquivalenceCheckResult
 from repro.exceptions import EquivalenceCheckingError
+from repro.obs import trace
 
 SEED = 1234
 
@@ -73,12 +80,14 @@ class TestConfiguration:
     def test_default_portfolio(self):
         manager = EquivalenceCheckingManager()
         assert manager.portfolio == DEFAULT_PORTFOLIO
-        assert manager.portfolio[0] == "simulation"
+        assert manager.portfolio[0] == "alternating"
 
 
 class TestEarlyTermination:
     def test_falsifier_decides_non_equivalent_pairs(self):
-        manager = EquivalenceCheckingManager(seed=SEED)
+        manager = EquivalenceCheckingManager(
+            seed=SEED, portfolio=("simulation", "alternating")
+        )
         result = manager.run(ghz_ladder(4), ghz_with_bug(4))
         assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
         assert result.decided_by == "simulation"
@@ -87,7 +96,9 @@ class TestEarlyTermination:
         assert statuses["alternating"] == "skipped"
 
     def test_prover_decides_equivalent_pairs(self):
-        manager = EquivalenceCheckingManager(seed=SEED)
+        manager = EquivalenceCheckingManager(
+            seed=SEED, portfolio=("simulation", "alternating")
+        )
         result = manager.run(*_ghz_pair())
         # Simulation alone cannot prove equivalence; the alternating checker
         # must deliver the definitive verdict.
@@ -124,16 +135,13 @@ class TestEarlyTermination:
 
 class TestIndicativeFallback:
     def _stub_checker(self, manager, criteria_by_method):
-        def run_checker(method, first, second, qubit_permutation, budget):
-            return CheckerAttempt(
-                method=method,
-                status="completed",
-                result=EquivalenceCheckResult(
-                    criterion=criteria_by_method[method], method=method
-                ),
+        def checker_steps(method, first, second, qubit_permutation):
+            return EquivalenceCheckResult(
+                criterion=criteria_by_method[method], method=method
             )
+            yield  # a one-step generator, like a plain Checker.check
 
-        manager._run_checker = run_checker
+        manager._checker_steps = checker_steps
 
     def test_later_probably_equivalent_beats_earlier_no_information(self):
         # Regression: the manager used to keep only the *first* indicative
@@ -209,6 +217,126 @@ class TestTimeouts:
         statuses = [attempt.status for attempt in result.attempts]
         assert "skipped" in statuses or statuses == ["timeout", "timeout"]
         assert "timeout" in result.reason or result.decided_by is None
+
+
+def _table1_pairs():
+    """Every Table-1 instance of the default-path benchmark (all equivalent)."""
+    lam = running_example_lambda
+    return (
+        [
+            (bernstein_vazirani_static(secret), bernstein_vazirani_dynamic(secret))
+            for secret in ("10101010", "101010101010")
+        ]
+        + [(qft_static_benchmark(n), qft_dynamic(n)) for n in (8, 10)]
+        + [(qpe_static(n, lam), iterative_qpe(n, lam)) for n in (6, 8)]
+    )
+
+
+class TestStepRunner:
+    def test_simulation_joins_once_the_product_outgrows_two_to_the_n(self):
+        # QFT vs an unrelated random circuit: nothing cancels, the alternating
+        # product heads for the dense maximum, so simulation joins at 2^6
+        # nodes and refutes the pair with its first stimulus.
+        tracer = trace.Tracer()
+        with trace.activate(tracer):
+            result = EquivalenceCheckingManager(seed=42).run(
+                qft_static_benchmark(6), random_static_circuit(6, depth=6, seed=13)
+            )
+        assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
+        assert result.decided_by == "simulation"
+        statuses = {attempt.method: attempt.status for attempt in result.attempts}
+        assert statuses == {"alternating": "cancelled", "simulation": "completed"}
+        (run_span,) = [s for s in tracer.finished() if s.name == "manager.run"]
+        (join,) = [e for e in run_span.events if e["name"] == "portfolio.join"]
+        assert join["attrs"]["checker"] == "alternating"
+        assert join["attrs"]["bound"] == 64
+        assert join["attrs"]["nodes"] > 64
+        checker_spans = {
+            s.attrs["checker"]: s for s in tracer.finished() if s.name == "checker.run"
+        }
+        assert checker_spans["alternating"].attrs["status"] == "cancelled"
+        assert checker_spans["simulation"].parent_id == run_span.span_id
+
+    def test_time_check_counts_only_the_checkers_own_steps(self):
+        # After the join construction and simulation interleave (simulation
+        # passes all its stimuli); the steps one takes between the other's
+        # must not show up in the other's time_check.
+        result = EquivalenceCheckingManager(
+            seed=SEED, portfolio=("construction", "simulation")
+        ).run(
+            random_static_circuit(4, depth=20, seed=3),
+            random_static_circuit(4, depth=20, seed=3),
+        )
+        assert result.decided_by == "construction"
+        for attempt in result.attempts:
+            assert attempt.status == "completed"
+            assert 0 < attempt.result.time_check <= attempt.time_taken
+
+    @pytest.mark.parametrize("pair_index", range(6))
+    def test_simulation_never_steps_on_table1_pairs(self, pair_index, monkeypatch):
+        from repro.core.checkers.simulation import SimulationChecker
+
+        stepped = []
+
+        def spy(self, first, second, configuration):
+            stepped.append(True)
+            raise AssertionError("simulation must not be stepped")
+            yield
+
+        monkeypatch.setattr(SimulationChecker, "steps", spy)
+        tracer = trace.Tracer()
+        with trace.activate(tracer):
+            pair = _table1_pairs()[pair_index]
+            result = EquivalenceCheckingManager(seed=0).run(*pair)
+        assert result.criterion is EquivalenceCriterion.EQUIVALENT
+        assert result.decided_by == "alternating"
+        statuses = [(attempt.method, attempt.status) for attempt in result.attempts]
+        assert statuses == [("alternating", "completed"), ("simulation", "skipped")]
+        assert not stepped
+        spans = tracer.finished()
+        assert not [s for s in spans if s.attrs.get("checker") == "simulation"]
+
+    def test_timed_out_falsifier_leaves_no_thread_to_flip_the_verdict(self):
+        # Falsifier-led lineup, one checker at a time: simulation (about 1.4 s
+        # on QFT n=10) overruns its budget, alternating (about 0.03 s) proves
+        # the pair.  Budgets are checked between steps in the calling thread,
+        # so nothing keeps running after the verdict.
+        manager = EquivalenceCheckingManager(
+            seed=SEED, portfolio=("simulation", "alternating"), checker_timeout=0.3
+        )
+        pair = (qft_static_benchmark(10), qft_dynamic(10))
+        threads_before = set(threading.enumerate())
+        results = [manager.run(*pair) for _ in range(2)]
+        for result in results:
+            assert result.criterion is EquivalenceCriterion.EQUIVALENT
+            assert result.decided_by == "alternating"
+            assert [a.status for a in result.attempts] == ["timeout", "completed"]
+        assert not [t for t in threading.enumerate() if t.name.startswith("checker-")]
+        assert set(threading.enumerate()) <= threads_before
+
+    def test_default_lineup_refutes_small_buggy_pair_without_simulation(self):
+        result = EquivalenceCheckingManager(seed=SEED).run(
+            ghz_ladder(4), ghz_with_bug(4)
+        )
+        assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
+        assert result.decided_by == "alternating"
+        assert result.attempts[1].status == "skipped"
+
+    def test_probably_equivalent_falsifier_leaves_the_prover_to_finish(self):
+        # A prover-led lineup whose prover outgrows 2^n on an equivalent
+        # pair: construction builds a random circuit's near-dense unitary,
+        # simulation joins, passes every stimulus, and construction decides.
+        result = EquivalenceCheckingManager(
+            seed=SEED, portfolio=("construction", "simulation")
+        ).run(
+            random_static_circuit(4, depth=20, seed=3),
+            random_static_circuit(4, depth=20, seed=3),
+        )
+        assert result.criterion is EquivalenceCriterion.EQUIVALENT
+        assert result.decided_by == "construction"
+        simulation = result.attempts[1]
+        assert simulation.status == "completed"
+        assert simulation.result.criterion is EquivalenceCriterion.PROBABLY_EQUIVALENT
 
 
 class TestBatch:
@@ -320,28 +448,38 @@ class TestProcessExecutor:
 
     def test_process_batch_matches_thread_batch_on_mixed_pairs(self):
         # Acceptance criterion: entry-for-entry identical criteria between the
-        # thread and process executors on a >=20-pair mixed batch.
+        # thread and process executors on a >=20-pair mixed batch, for the
+        # default lineup and the explicit falsifier-first one (which must
+        # agree with each other too).
         pairs = _mixed_batch_pairs()
-        thread_batch = EquivalenceCheckingManager(
-            seed=SEED, executor="thread", max_workers=4
-        ).verify_batch(pairs)
-        process_batch = EquivalenceCheckingManager(
-            seed=SEED, executor="process", max_workers=4, batch_chunk_size=3
-        ).verify_batch(pairs)
-        assert process_batch.executor == "process"
-        assert process_batch.num_pairs == thread_batch.num_pairs == len(pairs)
-        for thread_entry, process_entry in zip(
-            thread_batch.entries, process_batch.entries
-        ):
-            assert process_entry.index == thread_entry.index
-            assert process_entry.name_first == thread_entry.name_first
-            assert process_entry.error is None and thread_entry.error is None
-            assert (
-                process_entry.result.criterion is thread_entry.result.criterion
-            ), process_entry.index
-            assert (
-                process_entry.result.decided_by == thread_entry.result.decided_by
-            ), process_entry.index
+        criteria = {}
+        for portfolio in (None, ("simulation", "alternating")):
+            thread_batch = EquivalenceCheckingManager(
+                seed=SEED, executor="thread", max_workers=4, portfolio=portfolio
+            ).verify_batch(pairs)
+            process_batch = EquivalenceCheckingManager(
+                seed=SEED,
+                executor="process",
+                max_workers=4,
+                batch_chunk_size=3,
+                portfolio=portfolio,
+            ).verify_batch(pairs)
+            assert process_batch.executor == "process"
+            assert process_batch.num_pairs == thread_batch.num_pairs == len(pairs)
+            for thread_entry, process_entry in zip(
+                thread_batch.entries, process_batch.entries
+            ):
+                assert process_entry.index == thread_entry.index
+                assert process_entry.name_first == thread_entry.name_first
+                assert process_entry.error is None and thread_entry.error is None
+                assert (
+                    process_entry.result.criterion is thread_entry.result.criterion
+                ), process_entry.index
+                assert (
+                    process_entry.result.decided_by == thread_entry.result.decided_by
+                ), process_entry.index
+            criteria[portfolio] = [e.result.criterion for e in thread_batch.entries]
+        assert criteria[None] == criteria[("simulation", "alternating")]
 
     def test_process_batch_preserves_input_order_with_chunking(self):
         pairs = []

@@ -2,6 +2,10 @@
 
 import doctest
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,44 @@ PUBLIC_MODULES = [
 ]
 
 
+#: Modules of the HTTP stack that an in-process verification must not import.
+HTTP_STACK_MODULES = (
+    "asyncio",
+    "email",
+    "http.server",
+    "ssl",
+    "repro.service.aserver",
+    "repro.service.client",
+    "repro.service.server",
+)
+
+
 class TestPackageSurface:
+    @pytest.mark.parametrize("options", ["seed=0", "seed=0, verdict_cache=True"])
+    def test_manager_run_does_not_import_the_http_stack(self, options):
+        # Regression: merging one attempt's DD statistics imported
+        # repro.service.metrics, whose package eagerly imported both servers
+        # and the client (+5 MB RSS for a plain in-process run).
+        script = (
+            "import sys\n"
+            "from repro import EquivalenceCheckingManager\n"
+            "from repro.algorithms import ghz_ladder\n"
+            f"manager = EquivalenceCheckingManager({options})\n"
+            "result = manager.run(ghz_ladder(3), ghz_ladder(3))\n"
+            "assert result.equivalent and result.decided_by == 'alternating'\n"
+            f"print(sorted(set({HTTP_STACK_MODULES!r}) & set(sys.modules)))\n"
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
+
     def test_version(self):
         assert repro.__version__ == "1.1.0"
 

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from repro.algorithms import ghz_ladder
+from repro.algorithms import ghz_ladder, qft_dynamic, qft_static_benchmark
+from repro.circuit.random_circuits import random_static_circuit
 from repro.core import Configuration, EquivalenceCheckingManager, EquivalenceCriterion
 from repro.core.scheduler import Schedule, ScheduledChecker, deprioritize
 from repro.resilience import (
@@ -82,6 +83,18 @@ class TestCircuitBreaker:
         assert not breaker.allow()
         clock.advance(5.0)
         assert breaker.allow()
+
+    def test_release_frees_the_probe_without_touching_counters(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(failure_threshold=1, cooldown=5.0, clock=clock)
+        breaker.record_failure()
+        clock.advance(5.0)
+        assert breaker.allow()  # the probe
+        before = breaker.snapshot()
+        breaker.release()  # e.g. cancelled because another checker decided
+        assert breaker.snapshot() == before
+        assert breaker.state == "half_open"
+        assert breaker.allow()  # a new probe is admitted
 
     def test_rejections_are_counted(self):
         clock = FakeClock()
@@ -284,3 +297,38 @@ class TestManagerQuarantine:
         statuses = {a.method: a.status for a in result.attempts}
         assert statuses.get("simulation") == "completed"
         assert manager.breakers.breaker("simulation").state == "closed"
+
+    def test_cancelled_probe_does_not_wedge_the_breaker(self):
+        # A half-open probe that is cancelled (simulation refuted the pair
+        # first) must free the probe slot; otherwise every later run would
+        # record alternating as quarantined and equivalent pairs would only
+        # ever reach PROBABLY_EQUIVALENT.
+        clock = FakeClock()
+        manager = EquivalenceCheckingManager(
+            Configuration(
+                seed=11,
+                verdict_cache=False,
+                breaker_threshold=1,
+                fault_plan=FaultPlan(
+                    rules=(FaultRule(site="checker", target="alternating", times=1),)
+                ),
+            )
+        )
+        manager.breakers = BreakerBoard(failure_threshold=1, cooldown=5.0, clock=clock)
+        equivalent = (qft_static_benchmark(4), qft_dynamic(4))
+        first = manager.run(*equivalent)
+        assert first.attempts[0].status == "error"
+        assert manager.breakers.quarantined() == ("alternating",)
+        clock.advance(5.0)
+        refuted = manager.run(
+            qft_static_benchmark(6), random_static_circuit(6, depth=6, seed=13)
+        )
+        assert refuted.criterion is EquivalenceCriterion.NOT_EQUIVALENT
+        assert refuted.decided_by == "simulation"
+        assert refuted.attempts[0].method == "alternating"
+        assert refuted.attempts[0].status == "cancelled"
+        for _ in range(2):
+            result = manager.run(*equivalent)
+            assert result.criterion is EquivalenceCriterion.EQUIVALENT
+            assert result.decided_by == "alternating"
+        assert manager.breakers.breaker("alternating").state == "closed"

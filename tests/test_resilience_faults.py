@@ -157,6 +157,12 @@ class TestChaosMatrix:
     """Injected faults must never change verdicts — only how they were won."""
 
     def _assert_matches_baseline(self, executor, fault_plan, baselines, **overrides):
+        # The library's default lineup must match the falsifier-first
+        # baseline entry for entry under the same faults.
+        default = EquivalenceCheckingManager(
+            _configuration(executor, fault_plan=fault_plan, portfolio=None, **overrides)
+        )
+        assert _criteria(default.verify_batch(_pairs())) == baselines[executor]
         configuration = _configuration(executor, fault_plan=fault_plan, **overrides)
         manager = EquivalenceCheckingManager(configuration)
         batch = manager.verify_batch(_pairs())
@@ -337,7 +343,11 @@ class TestServiceRetries:
         server = VerificationServer(
             port=0,
             configuration=Configuration(
-                seed=SEED, max_workers=2, fault_plan=plan, breaker_threshold=2
+                seed=SEED,
+                max_workers=2,
+                fault_plan=plan,
+                breaker_threshold=2,
+                portfolio=("simulation", "alternating"),
             ),
         )
         server.start_background()

@@ -146,30 +146,35 @@ class TestAgreementWithDDCheckers:
             executor=executor,
             max_workers=2,
         )
-        dd_config = Configuration(
-            portfolio=("alternating",),
-            seed=SEED,
-            verdict_cache=False,
-            executor=executor,
-            max_workers=2,
-        )
         rewrite_batch = EquivalenceCheckingManager(rewrite_config).verify_batch(pairs)
-        dd_batch = EquivalenceCheckingManager(dd_config).verify_batch(pairs)
-        assert rewrite_batch.num_pairs == dd_batch.num_pairs == len(pairs)
-        decided = 0
-        for rewrite_entry, dd_entry in zip(rewrite_batch.entries, dd_batch.entries):
-            assert rewrite_entry.result is not None
-            assert dd_entry.result is not None
-            rewrite_criterion = rewrite_entry.result.criterion
-            dd_criterion = dd_entry.result.criterion
-            assert rewrite_criterion != EquivalenceCriterion.NOT_EQUIVALENT
-            if (
-                rewrite_criterion in DECIDED
-                and dd_criterion
-                in (*DECIDED, EquivalenceCriterion.PROBABLY_EQUIVALENT)
-            ):
-                decided += 1
-                assert rewrite_entry.result.equivalent == dd_entry.result.equivalent
-        # The rewrite checker must actually decide translated pairs, not
-        # no-information its way through the batch.
-        assert decided >= len(pairs) // 2
+        # The DD side: the alternating prover alone, the library's default
+        # lineup, and the explicit falsifier-first lineup.  The default and
+        # the explicit lineup must agree entry for entry.
+        dd_batches = [
+            EquivalenceCheckingManager(
+                rewrite_config.updated(portfolio=portfolio)
+            ).verify_batch(pairs)
+            for portfolio in (("alternating",), None, ("simulation", "alternating"))
+        ]
+        assert [e.result.criterion for e in dd_batches[1].entries] == [
+            e.result.criterion for e in dd_batches[2].entries
+        ]
+        for dd_batch in dd_batches:
+            assert rewrite_batch.num_pairs == dd_batch.num_pairs == len(pairs)
+            decided = 0
+            for rewrite_entry, dd_entry in zip(rewrite_batch.entries, dd_batch.entries):
+                assert rewrite_entry.result is not None
+                assert dd_entry.result is not None
+                rewrite_criterion = rewrite_entry.result.criterion
+                dd_criterion = dd_entry.result.criterion
+                assert rewrite_criterion != EquivalenceCriterion.NOT_EQUIVALENT
+                if (
+                    rewrite_criterion in DECIDED
+                    and dd_criterion
+                    in (*DECIDED, EquivalenceCriterion.PROBABLY_EQUIVALENT)
+                ):
+                    decided += 1
+                    assert rewrite_entry.result.equivalent == dd_entry.result.equivalent
+            # The rewrite checker must actually decide translated pairs, not
+            # no-information its way through the batch.
+            assert decided >= len(pairs) // 2

@@ -307,6 +307,10 @@ class TestPrunedJobs:
 
 class TestConcurrency:
     def test_concurrent_identical_submissions_coalesce_to_one_job(self, server):
+        # The worker is held until all six submissions are in, so the job
+        # cannot settle (and turn a late submission into a fresh cache-hit
+        # job) before the last one arrives.
+        release = _hold_worker(server.service)
         barrier = threading.Barrier(6)
         results: list[dict] = []
         lock = threading.Lock()
@@ -323,6 +327,7 @@ class TestConcurrency:
             thread.start()
         for thread in threads:
             thread.join(timeout=30.0)
+        release.set()
         assert len(results) == 6
         job_ids = {submission["job_id"] for submission in results}
         fresh = [s for s in results if not s["coalesced"]]

@@ -90,21 +90,57 @@ class TestServerRoundTrip:
         assert excinfo.value.status == 400
 
 
+@pytest.mark.parametrize("backend", ["thread", "async"])
+@pytest.mark.parametrize(
+    "body", [b"[]", b"null", b'"x"', b"42", b'{"first": 1, "second": 2}', b"{}"]
+)
+def test_non_object_or_incomplete_body_is_400_on_both_backends(backend, body):
+    # Regression: the thread backend called payload.get() on whatever JSON
+    # arrived and answered 500 to a list, null or string body.
+    import http.client
+
+    from repro.service import AsyncVerificationServer
+
+    server_cls = VerificationServer if backend == "thread" else AsyncVerificationServer
+    instance = server_cls(port=0, configuration=Configuration(seed=SEED))
+    instance.start_background()
+    connection = http.client.HTTPConnection("127.0.0.1", instance.port, timeout=5)
+    try:
+        connection.request(
+            "POST", "/jobs", body=body, headers={"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        response.read()
+        assert response.status == 400, (backend, body, response.status)
+    finally:
+        connection.close()
+        instance.close()
+
+
 class TestRequestDeduplication:
     def test_concurrent_identical_submissions_coalesce(self):
-        # One worker, kept busy by a slower warmup job, so the two identical
-        # submissions that follow are both still queued — the second MUST
-        # coalesce onto the first instead of queueing a second run.
+        # One worker, held busy by a warmup job until both identical
+        # submissions that follow are queued — the second MUST coalesce onto
+        # the first instead of queueing a second run.
         server = VerificationServer(
             port=0, configuration=Configuration(seed=SEED, max_workers=1)
         )
         server.start_background()
         client = VerificationClient(server.url, timeout=10.0)
+        release = threading.Event()
+        original_run = server.service.manager.run
+
+        def held_run(first, second, **kwargs):
+            assert release.wait(30.0), "test forgot to release the worker"
+            return original_run(first, second, **kwargs)
+
+        server.service.manager.run = held_run
         try:
             warmup = client.submit(qft_static_benchmark(6), qft_dynamic(6))
             first, second = ghz_ladder(4), ghz_ladder(4)
             submission_one = client.submit(first, second)
             submission_two = client.submit(first, second)
+            release.set()
 
             assert submission_one["coalesced"] is False
             assert submission_two["coalesced"] is True
@@ -121,6 +157,7 @@ class TestRequestDeduplication:
             assert stats["submitted"] == 3
             assert stats["executed"] == 2  # warmup + one run for the pair
         finally:
+            release.set()
             server.close()
 
     def test_resubmission_after_completion_queues_a_fresh_job(self, client):
