@@ -12,11 +12,11 @@ Two workloads measure what the verdict cache buys a long-running service:
   deduped run must agree entry-for-entry with the plain run and must show at
   least 16 cache hits (one per fanned-out duplicate).
 * ``server_throughput`` — the same duplicate-heavy pair mix driven over HTTP
-  by concurrent clients against BOTH front ends (``VerificationServer`` on
-  the thread pool, ``AsyncVerificationServer`` on asyncio with long-poll
-  collection).  The two backends must return identical per-request verdicts
-  (drift fails the script); their relative throughput is recorded, never
-  gated — timing noise must not fail CI.
+  by concurrent clients against ``VerificationServer``, collecting verdicts
+  by long-poll.  Every verdict must equal the in-process
+  ``EquivalenceCheckingManager.run`` verdict on the same pair (drift fails
+  the script); the request rate is recorded, never gated — timing noise
+  must not fail CI.
 
 Results are emitted as ``BENCH_service.json`` (schema shared via
 ``bench_common.validate_bench_payload``).
@@ -46,11 +46,7 @@ from repro.algorithms import (
     qft_static_benchmark,
 )
 from repro.core import Configuration, EquivalenceCheckingManager
-from repro.service import (
-    AsyncVerificationServer,
-    VerificationClient,
-    VerificationServer,
-)
+from repro.service import VerificationClient, VerificationServer
 
 SEED = 42
 
@@ -171,83 +167,63 @@ def bench_dedup_batch(repeats: int) -> tuple[list[dict], dict]:
 
 def bench_server_throughput(
     repeats: int, num_clients: int, num_requests: int
-) -> tuple[list[dict], dict]:
-    """Concurrent-client HTTP throughput: thread backend vs asyncio backend.
+) -> list[dict]:
+    """Concurrent-client HTTP throughput of ``VerificationServer``.
 
     Each repeat starts a fresh server on an ephemeral port, fans
     ``num_requests`` verifications (duplicate-heavy mix) across
     ``num_clients`` client threads, and waits for every verdict.  The gate is
-    verdict agreement between the two backends; throughput is informational.
+    agreement with in-process ``manager.run`` on every pair; throughput is
+    informational.
     """
     pairs = [duplicate_heavy_pairs()[index % 20] for index in range(num_requests)]
-    entries = []
-    criteria_by_backend: dict[str, list[str]] = {}
-    times_by_backend: dict[str, float] = {}
-    for backend in ("thread", "async"):
-        times = []
-        criteria: list[str] = []
-        for _ in range(repeats):
-            configuration = Configuration(seed=SEED, max_workers=2)
-            if backend == "thread":
-                server = VerificationServer(port=0, configuration=configuration)
-            else:
-                server = AsyncVerificationServer(port=0, configuration=configuration)
-            server.start_background()
-            try:
-                verdicts: list[str | None] = [None] * len(pairs)
+    manager = EquivalenceCheckingManager(seed=SEED)
+    expected = [manager.run(first, second).criterion.value for first, second in pairs]
+    times = []
+    for _ in range(repeats):
+        configuration = Configuration(seed=SEED, max_workers=2)
+        server = VerificationServer(port=0, configuration=configuration)
+        server.start_background()
+        try:
+            verdicts: list[str | None] = [None] * len(pairs)
 
-                def drive(indices, url=server.url):
-                    client = VerificationClient(url, timeout=30.0)
-                    for index in indices:
-                        first, second = pairs[index]
-                        payload = client.verify(first, second, timeout=120.0)
-                        verdicts[index] = payload["criterion"]
+            def drive(indices, url=server.url):
+                client = VerificationClient(url, timeout=30.0)
+                for index in indices:
+                    first, second = pairs[index]
+                    payload = client.verify(first, second, timeout=120.0)
+                    verdicts[index] = payload["criterion"]
 
-                chunks = [
-                    list(range(offset, len(pairs), num_clients))
-                    for offset in range(num_clients)
-                ]
-                threads = [
-                    threading.Thread(target=drive, args=(chunk,)) for chunk in chunks
-                ]
-                start = time.perf_counter()
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                times.append((time.perf_counter() - start) * 1000.0)
-            finally:
-                server.close()
-            if any(verdict is None for verdict in verdicts):
-                raise RuntimeError(f"{backend} backend dropped a verification")
-            criteria = [str(verdict) for verdict in verdicts]
-        criteria_by_backend[backend] = criteria
-        times_by_backend[backend] = min(times)
-        entries.append(
-            {
-                "name": f"server_throughput/{backend}",
-                "workload": "server_throughput",
-                "num_requests": num_requests,
-                "num_clients": num_clients,
-                "repeats": repeats,
-                "mean_ms": sum(times) / len(times),
-                "min_ms": min(times),
-                "requests_per_second": round(
-                    num_requests / (min(times) / 1000.0), 1
-                ),
-            }
-        )
-    if criteria_by_backend["thread"] != criteria_by_backend["async"]:
-        raise RuntimeError(
-            "verdict drift between server backends: "
-            f"{criteria_by_backend['async']} (async) vs "
-            f"{criteria_by_backend['thread']} (thread)"
-        )
-    return entries, {
-        "server_async_vs_thread": round(
-            times_by_backend["thread"] / times_by_backend["async"], 2
-        )
-    }
+            chunks = [
+                list(range(offset, len(pairs), num_clients))
+                for offset in range(num_clients)
+            ]
+            threads = [threading.Thread(target=drive, args=(chunk,)) for chunk in chunks]
+            start = time.perf_counter()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            times.append((time.perf_counter() - start) * 1000.0)
+        finally:
+            server.close()
+        if verdicts != expected:
+            raise RuntimeError(
+                "verdict drift between the server and in-process manager.run: "
+                f"{verdicts} (server) vs {expected} (in-process)"
+            )
+    return [
+        {
+            "name": "server_throughput",
+            "workload": "server_throughput",
+            "num_requests": num_requests,
+            "num_clients": num_clients,
+            "repeats": repeats,
+            "mean_ms": sum(times) / len(times),
+            "min_ms": min(times),
+            "requests_per_second": round(num_requests / (min(times) / 1000.0), 1),
+        }
+    ]
 
 
 def run(args: argparse.Namespace) -> dict:
@@ -259,7 +235,7 @@ def run(args: argparse.Namespace) -> dict:
     throughput_repeats = max(1, repeats // 2)
     num_clients = 4 if args.quick else 8
     num_requests = 12 if args.quick else 40
-    server_entries, server_speedups = bench_server_throughput(
+    server_entries = bench_server_throughput(
         throughput_repeats, num_clients, num_requests
     )
 
@@ -273,7 +249,6 @@ def run(args: argparse.Namespace) -> dict:
         "speedups": {
             "warm_vs_cold": qft_speedups,
             **dedup_speedups,
-            **server_speedups,
         },
         "speedup_vs_baseline": qft_speedups[largest],
         "baseline": {"source": "cold run (fresh manager, empty verdict cache)"},
@@ -304,9 +279,10 @@ def main(argv: list[str] | None = None) -> int:
     warm = payload["speedups"]["warm_vs_cold"]
     print("warm-cache speedup:", ", ".join(f"{k}={v}x" for k, v in warm.items()))
     print(f"in-batch dedup speedup: {payload['speedups']['dedup_batch']}x")
+    server = payload["results"][-1]
     print(
-        "async-vs-thread server throughput: "
-        f"{payload['speedups']['server_async_vs_thread']}x"
+        f"server throughput: {server['requests_per_second']} req/s "
+        f"({server['num_clients']} clients)"
     )
     print(f"wrote {args.output}")
     return 0

@@ -12,18 +12,18 @@ same pairs are re-verified over and over as toolchains iterate:
   with an optional persistent JSON-lines tier
   (``Configuration.cache_path``) storing
   :class:`~repro.core.results.PortfolioResult` essentials;
-* :mod:`repro.service.server` — a stdlib-only threaded HTTP job-queue server
-  (``repro-qcec serve``) with submit/status/result/stats/metrics endpoints,
-  request deduplication by fingerprint and long-poll result delivery;
-* :mod:`repro.service.aserver` — the asyncio front end over the same
-  :class:`VerificationService` backend (``repro-qcec serve --backend
-  async``), adding bounded-queue backpressure (429 + ``Retry-After``) and
-  per-client token-bucket rate limiting;
+* :mod:`repro.service.server` — the transport-free job queue
+  :class:`VerificationService` and its one HTTP front end,
+  :class:`VerificationServer` (``repro-qcec serve``, a stdlib
+  ``ThreadingHTTPServer``): submit/status/result/trace/stats/metrics
+  endpoints, request deduplication by fingerprint, long-poll result
+  delivery, bounded-queue backpressure and per-client token-bucket rate
+  limiting (429 + ``Retry-After``), and a cap on handler threads;
 * :mod:`repro.service.metrics` — the unified :class:`MetricsRegistry`
-  (counters, gauges, histograms) both servers export as Prometheus text at
+  (counters, gauges, histograms) the server exports as Prometheus text at
   ``GET /metrics``;
 * :mod:`repro.service.client` — the matching :class:`VerificationClient`,
-  long-polling against either backend.
+  which long-polls for results.
 
 The cache is also consulted by
 :class:`~repro.core.manager.EquivalenceCheckingManager` itself
@@ -36,7 +36,6 @@ import importlib
 #: Public names by defining submodule, imported on first access (PEP 562), so
 #: the manager's cache and metrics imports never pull in the HTTP stack.
 _EXPORTS = {
-    "aserver": ("AsyncVerificationServer",),
     "cache": ("CachedVerdict", "VerdictCache"),
     "client": ("VerificationClient",),
     "fingerprint": ("circuit_fingerprint", "configuration_fingerprint", "pair_fingerprint"),

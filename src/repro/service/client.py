@@ -1,8 +1,8 @@
 """A stdlib-only client for the verification job-queue servers.
 
-Mirrors the endpoints of :mod:`repro.service.server` (and its asyncio twin
-:mod:`repro.service.aserver`) one method per endpoint, plus the ``submit →
-wait → result`` convenience loop every caller would otherwise rewrite.
+Mirrors the endpoints of :mod:`repro.service.server` one method per
+endpoint, plus the ``submit → wait → result`` convenience loop every caller
+would otherwise rewrite.
 Accepts circuits as :class:`~repro.circuit.circuit.QuantumCircuit` objects
 (exported to QASM on the wire) or as raw OpenQASM 2 strings.
 
@@ -77,7 +77,7 @@ def _retry_after_from(error: urllib.error.HTTPError) -> float | None:
 
 
 class VerificationClient:
-    """HTTP client for a thread or asyncio verification server.
+    """HTTP client for a :class:`~repro.service.server.VerificationServer`.
 
     ``retries`` bounds how many times one logical request is re-issued after
     a retryable failure (429/503/connection error); ``retry_base`` /

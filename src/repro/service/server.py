@@ -14,9 +14,10 @@ Endpoints (all JSON unless noted):
   returns ``202 {"job_id", "fingerprint", "coalesced"}``.  Submissions are
   **deduplicated by fingerprint**: while a job for the same canonical pair
   is queued or running, an identical submission returns the *existing*
-  job id (``"coalesced": true``) instead of queueing a second run.  With a
-  ``queue_limit`` configured, a saturated queue answers ``429`` with a
-  ``Retry-After`` header instead of growing without bound.
+  job id (``"coalesced": true``) instead of queueing a second run.  Once
+  ``queue_limit`` jobs are unsettled (default ``16 * max_workers``), or a
+  client exceeds its ``rate_limit`` token bucket, the server answers ``429``
+  with a ``Retry-After`` header instead of growing without bound.
 * ``GET /jobs/<id>``        — job status (``queued|running|done|failed``).
 * ``GET /jobs/<id>/result`` — the verdict payload (``409`` while pending).
   ``?wait=N`` long-polls: the request blocks until the job settles or ``N``
@@ -30,9 +31,13 @@ Endpoints (all JSON unless noted):
 * ``GET /healthz``          — liveness probe with the package version.
 
 :class:`VerificationService` is the transport-free core (job queue, worker
-pool, dedup index, settled-event plumbing) shared by this module's
-``ThreadingHTTPServer`` front end and the asyncio front end in
-:mod:`repro.service.aserver`.
+pool, dedup index, settled events); :class:`VerificationServer` is its one
+HTTP front end, a stdlib ``ThreadingHTTPServer``.  The stdlib parses HTTP;
+this module only routes, admits and answers.  Every response — the
+parser's own 400/414/431 rejections included — carries a JSON
+``{"error": ...}`` body, and no malformed request gets a 5xx.  Handler
+threads are capped at :data:`MAX_HANDLER_THREADS`: past the cap a new
+connection is answered ``503`` + ``Retry-After`` from the accept loop.
 """
 
 from __future__ import annotations
@@ -40,13 +45,14 @@ from __future__ import annotations
 import json
 import math
 import random
+import socket
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
 from repro.circuit.qasm import circuit_from_qasm
@@ -73,6 +79,19 @@ _MAX_BODY_BYTES = 32 * 1024 * 1024
 #: (possibly 409) answer after this many seconds and may simply re-issue the
 #: request.  Bounds how long one request can pin a handler thread.
 MAX_LONG_POLL_SECONDS = 30.0
+
+#: Cap on concurrently running request-handler threads.  A long-poll or a
+#: stalled body holds its thread for up to 30 s; past the cap new
+#: connections get 503 + ``Retry-After`` instead of another thread.
+MAX_HANDLER_THREADS = 256
+
+#: How long the accept loop waits for a rejected connection's request
+#: before answering 503 (see :meth:`VerificationServer.process_request`).
+_BUSY_READ_TIMEOUT = 0.1
+
+#: Tracked clients of the per-client rate limiter; the least recently seen
+#: one is forgotten first (which merely refills its burst).
+_MAX_RATE_LIMITED_CLIENTS = 4096
 
 
 @dataclass
@@ -128,8 +147,8 @@ class VerificationService:
     ``queue_limit`` bounds the number of unsettled jobs: once that many are
     queued or running, new (non-coalescing) submissions are rejected with a
     429 :class:`ServiceError` carrying ``retry_after``.  ``None`` (the
-    default) keeps the PR-5 unbounded behaviour for in-process users; the
-    HTTP front ends enable it.
+    default) keeps in-process use unbounded; :class:`VerificationServer`
+    enables it.
 
     The job table keeps the most recent ``max_finished_jobs`` settled jobs
     for polling; older ones are pruned, which bounds server memory
@@ -180,7 +199,6 @@ class VerificationService:
         self._pruned: dict[str, tuple[str, str, str, str]] = {}
         self._pruned_order: deque[str] = deque()
         self._max_pruned = max(1024, 8 * max_finished_jobs)
-        self._listeners: dict[str, list[Callable[[], None]]] = {}
         self._active = 0  # queued + running jobs
         self._next_id = 0
         self._started_at = time.time()
@@ -595,16 +613,7 @@ class VerificationService:
                     self._pruned_order.append(pruned_id)
             while len(self._pruned_order) > self._max_pruned:
                 self._pruned.pop(self._pruned_order.popleft(), None)
-            listeners = self._listeners.pop(job.job_id, [])
-        # Wake long-poll waiters outside the lock: listener callbacks may
-        # take their own locks (asyncio loop internals) and must not be able
-        # to deadlock against job submission.
-        job.settled.set()
-        for callback in listeners:
-            try:
-                callback()
-            except Exception:  # noqa: BLE001 - a dead waiter must not poison others
-                continue
+        job.settled.set()  # wakes the long-poll waiters
 
     # ------------------------------------------------------------------
     # completion waiting
@@ -623,21 +632,6 @@ class VerificationService:
                 return True
             event = job.settled
         return event.wait(timeout)
-
-    def add_settled_listener(self, job_id: str, callback: Callable[[], None]) -> bool:
-        """Invoke ``callback`` (once, from the worker thread) when the job settles.
-
-        Returns False — without registering — when the job is already
-        settled, pruned or unknown, so a caller can fall through to
-        ``job_result`` immediately.  The asyncio front end registers a
-        ``loop.call_soon_threadsafe`` trampoline here.
-        """
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None or job.status in ("done", "failed"):
-                return False
-            self._listeners.setdefault(job_id, []).append(callback)
-            return True
 
     # ------------------------------------------------------------------
     # job lookup
@@ -927,6 +921,41 @@ def parse_submission(body: bytes) -> tuple[str, str]:
     raise ServiceError("body must be {'first': <qasm>, 'second': <qasm>}", status=400)
 
 
+class _RateLimiter:
+    """Per-client token buckets: ``rate`` tokens per second, capacity ``burst``."""
+
+    def __init__(self, rate: float, burst: float) -> None:
+        self.rate = rate
+        self.burst = burst
+        self._lock = threading.Lock()
+        # client -> (tokens, monotonic time of the last update), LRU order.
+        self._buckets: OrderedDict[str, tuple[float, float]] = OrderedDict()
+
+    def acquire(self, client: str) -> float | None:
+        """Take one token for ``client``: None if granted, else seconds to wait."""
+        now = time.monotonic()
+        with self._lock:
+            tokens, updated = self._buckets.pop(client, (self.burst, now))
+            tokens = min(self.burst, tokens + (now - updated) * self.rate)
+            granted = tokens >= 1.0
+            self._buckets[client] = (tokens - 1.0 if granted else tokens, now)
+            if len(self._buckets) > _MAX_RATE_LIMITED_CLIENTS:
+                self._buckets.popitem(last=False)
+        return None if granted else (1.0 - tokens) / self.rate
+
+
+#: Stdlib parser statuses that blame the server for a client's request.
+_CLIENT_ERROR_STATUS = {
+    HTTPStatus.NOT_IMPLEMENTED: HTTPStatus.METHOD_NOT_ALLOWED,
+    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED: HTTPStatus.BAD_REQUEST,
+}
+
+
+def _method_label(method: str | None) -> str:
+    # Methods are client-chosen: bound the metric's label values.
+    return method if method in ("GET", "POST") else "other"
+
+
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
     """Thin JSON-over-HTTP routing onto the owning :class:`VerificationService`."""
 
@@ -935,21 +964,44 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     # dropped instead of pinning a handler thread forever.
     timeout = 30.0
 
+    # The stdlib answers a one-word request line in HTTP/0.9 style: a bare
+    # body without status line.  Every reply here carries a status line.
+    default_request_version = "HTTP/1.0"
+
     # Replace the default per-request stderr logging with structured access
     # logs — silent unless ``configure_logging`` installed a handler.
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass
 
     def log_request(self, code: object = "-", size: object = "-") -> None:
+        # send_response calls this once per response: count it here.
+        status = int(code)
+        self.server.http_requests.inc(  # type: ignore[attr-defined]
+            method=_method_label(self.command), status=str(status)
+        )
         _log.info(
             "http access",
             **fields(
-                method=getattr(self, "command", None),
+                method=self.command,
                 path=getattr(self, "path", None),
-                status=getattr(code, "value", code),
+                status=status,
                 client=self.client_address[0] if self.client_address else None,
             ),
         )
+
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """Answer the stdlib parser's rejections with the usual JSON body.
+
+        A method without a ``do_`` handler (stdlib: 501) is a 405 here and
+        an HTTP version past 1.x (stdlib: 505) a 400: both are the client's
+        error, not the server's.
+        """
+        code = _CLIENT_ERROR_STATUS.get(code, code)
+        self.close_connection = True
+        headers = {"Allow": "GET, POST"} if code == 405 else None
+        self._safe_send(code, {"error": message or HTTPStatus(code).phrase}, headers)
 
     @property
     def service(self) -> VerificationService:
@@ -1052,7 +1104,15 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 raise ServiceError(
                     f"request body exceeds {_MAX_BODY_BYTES} bytes", status=413
                 )
-            first, second = parse_submission(self.rfile.read(length))
+            if "Transfer-Encoding" in self.headers:
+                raise ServiceError(
+                    "chunked request bodies are not supported; send a "
+                    "Content-Length",
+                    status=411,
+                )
+            body = self.rfile.read(length)
+            self.server.admit(self.client_address[0])  # type: ignore[attr-defined]
+            first, second = parse_submission(body)
             return 202, self.service.submit_qasm(
                 first, second, traceparent=self.headers.get("Traceparent")
             )
@@ -1067,11 +1127,21 @@ class VerificationServer(ThreadingHTTPServer):
     handy for tests and CI.  :meth:`start_background` serves on a daemon
     thread so in-process users (the example, the test suite) can drive a
     real client against it.  The service knobs (``cache``,
-    ``max_finished_jobs``, ``queue_limit``) are forwarded verbatim to
+    ``max_finished_jobs``, ``queue_limit``) are forwarded to
     :class:`VerificationService`.
+
+    ``queue_limit`` defaults to ``16 * max_workers``: deep enough to keep
+    the pool busy through bursts, shallow enough that a saturating client
+    sees 429 within a bounded latency.  Pass ``queue_limit=None`` for an
+    unbounded queue.  ``rate_limit`` (submissions per second per client
+    address) is off by default; ``rate_burst`` defaults to
+    ``max(2, 2 * rate_limit)``.
     """
 
     daemon_threads = True
+    # The stdlib default backlog of 5 makes a burst's 7th connect wait for
+    # the kernel's 1 s SYN retransmit.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(
         self,
@@ -1081,15 +1151,34 @@ class VerificationServer(ThreadingHTTPServer):
         *,
         cache: bool = True,
         max_finished_jobs: int = 1024,
-        queue_limit: int | None = None,
+        queue_limit: int | None | str = "auto",
+        rate_limit: float | None = None,
+        rate_burst: float | None = None,
     ):
+        configuration = configuration or Configuration()
+        if queue_limit == "auto":
+            queue_limit = 16 * configuration.max_workers
+        if rate_limit is not None and rate_limit <= 0:
+            raise ServiceError("rate_limit must be positive", status=500)
+        if rate_limit is None and rate_burst is not None:
+            raise ServiceError("rate_burst needs a rate_limit", status=500)
         super().__init__((host, port), _ServiceRequestHandler)
         self._serving = threading.Event()
+        self._handler_slots = threading.BoundedSemaphore(MAX_HANDLER_THREADS)
         self.service = VerificationService(
             configuration,
             cache=cache,
             max_finished_jobs=max_finished_jobs,
             queue_limit=queue_limit,
+        )
+        self.rate_limiter = None
+        if rate_limit is not None:
+            burst = rate_burst if rate_burst is not None else max(2.0, 2.0 * rate_limit)
+            self.rate_limiter = _RateLimiter(rate_limit, burst)
+        self.http_requests = self.service.metrics.counter(
+            "repro_http_requests_total",
+            "HTTP responses sent, by method and status code.",
+            labelnames=("method", "status"),
         )
 
     @property
@@ -1099,6 +1188,67 @@ class VerificationServer(ThreadingHTTPServer):
     @property
     def url(self) -> str:
         return f"http://{self.server_address[0]}:{self.port}"
+
+    def admit(self, client: str) -> None:
+        """Charge one ``POST /jobs`` to ``client``'s token bucket (429 when empty)."""
+        if self.rate_limiter is None:
+            return
+        retry_after = self.rate_limiter.acquire(client)
+        if retry_after is not None:
+            self.service.metrics.get("repro_service_rejected_total").inc(
+                reason="rate_limit"
+            )
+            raise ServiceError(
+                f"client {client} exceeded {self.rate_limiter.rate:g} "
+                "submissions/s; slow down",
+                status=429,
+                retry_after=retry_after,
+            )
+
+    def process_request(self, request, client_address) -> None:
+        """Hand the connection to a handler thread, or answer 503 at the cap."""
+        if not self._handler_slots.acquire(blocking=False):
+            self._reject_busy(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._handler_slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._handler_slots.release()
+
+    def _reject_busy(self, request: socket.socket) -> None:
+        try:
+            # Take in what the client sent first: closing a socket with
+            # unread input resets the connection, which can destroy the
+            # answer before the client reads it.
+            request.settimeout(_BUSY_READ_TIMEOUT)
+            head = request.recv(65536)
+        except OSError:
+            head = b""
+        self.http_requests.inc(
+            method=_method_label(head.split(b" ", 1)[0].decode("latin-1")),
+            status="503",
+        )
+        error = f"server busy: {MAX_HANDLER_THREADS} requests in progress; retry later"
+        body = json.dumps({"error": error}).encode("utf-8")
+        try:
+            request.sendall(
+                b"HTTP/1.0 503 Service Unavailable\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Retry-After: 1\r\n"
+                b"Connection: close\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+                + body
+            )
+        except OSError:
+            pass
+        self.shutdown_request(request)
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         self._serving.set()

@@ -34,7 +34,6 @@ HTTP_STACK_MODULES = (
     "email",
     "http.server",
     "ssl",
-    "repro.service.aserver",
     "repro.service.client",
     "repro.service.server",
 )

@@ -1,4 +1,4 @@
-"""Graceful drain and degraded health reporting, e2e on both backends."""
+"""Graceful drain and degraded health reporting, end to end over HTTP."""
 
 import os
 import signal
@@ -13,24 +13,15 @@ import pytest
 from repro.algorithms import ghz_ladder
 from repro.core import Configuration
 from repro.exceptions import ServiceError
-from repro.service import (
-    AsyncVerificationServer,
-    VerificationClient,
-    VerificationServer,
-)
+from repro.service import VerificationClient, VerificationServer
 
 SEED = 17
 
-BACKENDS = {
-    "thread": VerificationServer,
-    "async": AsyncVerificationServer,
-}
 
-
-def _start(backend, **config_overrides):
+def _start(**config_overrides):
     options = dict(seed=SEED, max_workers=2)
     options.update(config_overrides)
-    server = BACKENDS[backend](port=0, configuration=Configuration(**options))
+    server = VerificationServer(port=0, configuration=Configuration(**options))
     server.start_background()
     return server
 
@@ -48,10 +39,9 @@ def _hold_manager(service):
     return release
 
 
-@pytest.mark.parametrize("backend", ["thread", "async"])
 class TestHealthz:
-    def test_healthy_by_default(self, backend):
-        server = _start(backend)
+    def test_healthy_by_default(self):
+        server = _start()
         try:
             payload = VerificationClient(server.url, timeout=10.0).health()
             assert payload["ok"] is True
@@ -61,8 +51,8 @@ class TestHealthz:
         finally:
             server.close()
 
-    def test_open_breaker_reports_degraded_but_still_200(self, backend):
-        server = _start(backend, breaker_threshold=2, breaker_cooldown=1000.0)
+    def test_open_breaker_reports_degraded_but_still_200(self):
+        server = _start(breaker_threshold=2, breaker_cooldown=1000.0)
         try:
             breakers = server.service.manager.breakers
             breakers.record("simulation", False)
@@ -74,8 +64,8 @@ class TestHealthz:
         finally:
             server.close()
 
-    def test_journal_degradation_is_reported(self, backend, tmp_path):
-        server = _start(backend, cache_path=tmp_path / "verdicts.journal")
+    def test_journal_degradation_is_reported(self, tmp_path):
+        server = _start(cache_path=tmp_path / "verdicts.journal")
         try:
             cache = server.service.manager.verdict_cache
             cache._journal_errors += 1  # simulate a write error having happened
@@ -87,8 +77,8 @@ class TestHealthz:
         finally:
             server.close()
 
-    def test_draining_is_reported(self, backend):
-        server = _start(backend)
+    def test_draining_is_reported(self):
+        server = _start()
         try:
             server.service.begin_drain()
             payload = VerificationClient(server.url, timeout=10.0).health()
@@ -99,10 +89,9 @@ class TestHealthz:
             server.close()
 
 
-@pytest.mark.parametrize("backend", ["thread", "async"])
 class TestDrain:
-    def test_drain_rejects_new_submissions_with_503(self, backend):
-        server = _start(backend)
+    def test_drain_rejects_new_submissions_with_503(self):
+        server = _start()
         try:
             client = VerificationClient(server.url, timeout=10.0)
             server.service.begin_drain()
@@ -113,8 +102,8 @@ class TestDrain:
         finally:
             server.close()
 
-    def test_drain_finishes_in_flight_jobs(self, backend):
-        server = _start(backend)
+    def test_drain_finishes_in_flight_jobs(self):
+        server = _start()
         try:
             client = VerificationClient(server.url, timeout=10.0)
             release = _hold_manager(server.service)
@@ -139,8 +128,8 @@ class TestDrain:
         finally:
             server.close()
 
-    def test_drain_times_out_on_stuck_jobs(self, backend):
-        server = _start(backend)
+    def test_drain_times_out_on_stuck_jobs(self):
+        server = _start()
         try:
             client = VerificationClient(server.url, timeout=10.0)
             release = _hold_manager(server.service)
@@ -150,9 +139,9 @@ class TestDrain:
         finally:
             server.close()
 
-    def test_close_with_drain_timeout_flushes_journal(self, backend, tmp_path):
+    def test_close_with_drain_timeout_flushes_journal(self, tmp_path):
         path = tmp_path / "verdicts.journal"
-        server = _start(backend, cache_path=path)
+        server = _start(cache_path=path)
         client = VerificationClient(server.url, timeout=10.0)
         payload = client.verify(ghz_ladder(3), ghz_ladder(3), timeout=30.0)
         assert payload["criterion"] == "equivalent"
@@ -168,8 +157,7 @@ class TestDrain:
 class TestSigtermCli:
     """The `repro-qcec serve` process drains and exits cleanly on SIGTERM."""
 
-    @pytest.mark.parametrize("backend", ["thread", "async"])
-    def test_sigterm_drains_and_exits_zero(self, backend, tmp_path):
+    def test_sigterm_drains_and_exits_zero(self, tmp_path):
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1")
         process = subprocess.Popen(
@@ -180,8 +168,6 @@ class TestSigtermCli:
                 "serve",
                 "--port",
                 "0",
-                "--backend",
-                backend,
                 "--drain-timeout",
                 "5",
                 "--cache-path",

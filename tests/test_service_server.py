@@ -1,5 +1,10 @@
 """End-to-end tests of the verification job-queue server and client."""
 
+import http.client
+import json
+import select
+import socket
+import sys
 import threading
 import time
 
@@ -10,6 +15,7 @@ from repro.cli import build_parser, main
 from repro.core import Configuration
 from repro.exceptions import ServiceError
 from repro.service import VerificationClient, VerificationServer, VerificationService
+from repro.service import server as server_module
 
 SEED = 5
 
@@ -30,6 +36,32 @@ def server():
 @pytest.fixture()
 def client(server):
     return VerificationClient(server.url, timeout=10.0)
+
+
+def _hold_worker(service):
+    """Make every manager run block on the returned event (test hook)."""
+    release = threading.Event()
+    original = service.manager.run
+
+    def held(first, second, **kwargs):
+        assert release.wait(30.0), "test forgot to release the worker"
+        return original(first, second, **kwargs)
+
+    service.manager.run = held
+    return release
+
+
+def _exchange(port: int, request: bytes) -> tuple[str, dict[str, str], bytes]:
+    """Send raw bytes, read to EOF: (status line, headers, body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return status_line, headers, body
 
 
 class TestServerRoundTrip:
@@ -90,31 +122,47 @@ class TestServerRoundTrip:
         assert excinfo.value.status == 400
 
 
-@pytest.mark.parametrize("backend", ["thread", "async"])
-@pytest.mark.parametrize(
-    "body", [b"[]", b"null", b'"x"', b"42", b'{"first": 1, "second": 2}', b"{}"]
-)
-def test_non_object_or_incomplete_body_is_400_on_both_backends(backend, body):
-    # Regression: the thread backend called payload.get() on whatever JSON
-    # arrived and answered 500 to a list, null or string body.
-    import http.client
+def _post_jobs(body: bytes) -> bytes:
+    return (
+        b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(body)
+    ) + body
 
-    from repro.service import AsyncVerificationServer
 
-    server_cls = VerificationServer if backend == "thread" else AsyncVerificationServer
-    instance = server_cls(port=0, configuration=Configuration(seed=SEED))
-    instance.start_background()
-    connection = http.client.HTTPConnection("127.0.0.1", instance.port, timeout=5)
-    try:
-        connection.request(
-            "POST", "/jobs", body=body, headers={"Content-Type": "application/json"}
-        )
-        response = connection.getresponse()
-        response.read()
-        assert response.status == 400, (backend, body, response.status)
-    finally:
-        connection.close()
-        instance.close()
+#: Malformed requests, each of which must get a 4xx with a JSON error body.
+MALFORMED_REQUESTS = {
+    "garbage-request-line": b"HELLO\r\n\r\n",
+    "http-2-request-line": b"GET /healthz HTTP/2.0\r\n\r\n",
+    "70kb-header": b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+    "200-headers": b"GET /healthz HTTP/1.1\r\n"
+    + b"".join(b"X-%d: y\r\n" % index for index in range(200))
+    + b"\r\n",
+    "chunked-post": b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+    b"2\r\n{}\r\n0\r\n\r\n",
+    "negative-content-length": b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+    "body-[]": _post_jobs(b"[]"),
+    "body-null": _post_jobs(b"null"),
+    'body-"x"': _post_jobs(b'"x"'),
+    "body-42": _post_jobs(b"42"),
+    "body-non-string-circuits": _post_jobs(b'{"first": 1, "second": 2}'),
+    "body-{}": _post_jobs(b"{}"),
+    "put": b"PUT /jobs HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+    "delete": b"DELETE /jobs/job-000001 HTTP/1.1\r\n\r\n",
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_REQUESTS))
+def test_malformed_request_gets_a_json_4xx(server, name):
+    # Regression: PUT/DELETE got 501, parser errors got stdlib HTML bodies,
+    # and a one-word request line got a bare body without a status line.
+    status_line, headers, body = _exchange(server.port, MALFORMED_REQUESTS[name])
+    status = int(status_line.split(" ")[1])
+    assert status_line.startswith("HTTP/1.") and 400 <= status < 500, status_line
+    assert headers["Content-Type"] == "application/json"
+    assert json.loads(body)["error"]
+    if name in ("put", "delete"):
+        assert status == 405
+        assert headers["Allow"] == "GET, POST"
 
 
 class TestRequestDeduplication:
@@ -178,6 +226,35 @@ class TestRequestDeduplication:
         assert stats["cache"] is not None
         assert stats["cache"]["hits"] >= 1
         assert stats["jobs"].get("done", 0) >= 2
+
+
+    def test_concurrent_http_submissions_coalesce_to_one_job(self, server):
+        # The worker is held until all six submissions are in, so the job
+        # cannot settle (and turn a late submission into a fresh cache-hit
+        # job) before the last one arrives.
+        release = _hold_worker(server.service)
+        barrier = threading.Barrier(6)
+        results: list[dict] = []
+        lock = threading.Lock()
+
+        def submit():
+            worker_client = VerificationClient(server.url, timeout=10.0)
+            barrier.wait(timeout=10)
+            submission = worker_client.submit(ghz_ladder(5), ghz_ladder(5))
+            with lock:
+                results.append(submission)
+
+        threads = [threading.Thread(target=submit) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        release.set()
+        assert len(results) == 6
+        job_ids = {submission["job_id"] for submission in results}
+        fresh = [s for s in results if not s["coalesced"]]
+        assert len(job_ids) == 1
+        assert len(fresh) == 1
 
 
 class TestCrossLevelCacheHit:
@@ -373,18 +450,12 @@ class TestServiceInProcess:
         finally:
             service.shutdown()
 
-    def test_wait_settled_and_listeners(self):
+    def test_wait_settled(self):
         service = VerificationService(Configuration(seed=SEED, max_workers=1))
         try:
             submission = service.submit(ghz_ladder(3), ghz_ladder(3))
-            job_id = submission["job_id"]
-            woken = threading.Event()
-            registered = service.add_settled_listener(job_id, woken.set)
-            assert service.wait_settled(job_id, timeout=30.0)
-            if registered:
-                assert woken.wait(timeout=5.0)
-            # Once settled, a new listener is refused instead of queued.
-            assert service.add_settled_listener(job_id, woken.set) is False
+            assert service.wait_settled(submission["job_id"], timeout=30.0)
+            assert service.job_status(submission["job_id"])["status"] == "done"
             # Unknown ids report settled immediately (nothing to wait for).
             assert service.wait_settled("job-999999", timeout=0.1)
         finally:
@@ -430,9 +501,17 @@ class TestServiceInProcess:
             assert server.service.queue_limit == 3
         finally:
             server.close()
+        unbounded = VerificationServer(port=0, queue_limit=None)
+        try:
+            assert unbounded.service.queue_limit is None
+        finally:
+            unbounded.close()
 
     def test_many_concurrent_submissions_one_execution(self):
         service = VerificationService(Configuration(seed=SEED, max_workers=2))
+        # Held until all four submissions are in: a job that settles early
+        # turns a late submission into a fresh (cache-hit) job.
+        release = _hold_worker(service)
         try:
             first, second = qft_static_benchmark(5), qft_dynamic(5)
             outcomes = []
@@ -451,7 +530,371 @@ class TestServiceInProcess:
             assert len(job_ids) == 1
             assert sum(outcome["coalesced"] for outcome in outcomes) == 3
         finally:
+            release.set()
             service.shutdown()
+
+
+class TestBackpressure:
+    def test_default_queue_limit_answers_429_with_retry_after(self):
+        # One worker: the default limit is 16 unsettled jobs.
+        server = VerificationServer(
+            port=0, configuration=Configuration(seed=SEED, max_workers=1)
+        )
+        server.start_background()
+        release = _hold_worker(server.service)
+        try:
+            client = VerificationClient(server.url, timeout=10.0)
+            assert client.stats()["queue_limit"] == 16
+            for size in range(2, 18):
+                client.submit(ghz_ladder(size), ghz_ladder(size))
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(ghz_ladder(18), ghz_ladder(18))
+            assert excinfo.value.status == 429
+            assert excinfo.value.retry_after >= 1.0
+        finally:
+            release.set()
+            server.close()
+
+    def test_saturated_queue_answers_429_with_retry_after(self):
+        server = VerificationServer(
+            port=0,
+            configuration=Configuration(seed=SEED, max_workers=1),
+            queue_limit=1,
+        )
+        server.start_background()
+        release = _hold_worker(server.service)
+        try:
+            client = VerificationClient(server.url, timeout=10.0)
+            accepted = client.submit(ghz_ladder(3), ghz_ladder(3))
+            assert accepted["coalesced"] is False
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(ghz_ladder(4), ghz_ladder(4))
+            assert excinfo.value.status == 429
+            assert excinfo.value.retry_after is not None
+            assert excinfo.value.retry_after >= 1.0
+            # Coalescing duplicates consume no queue slot, so they are
+            # accepted even at the high-water mark.
+            duplicate = client.submit(ghz_ladder(3), ghz_ladder(3))
+            assert duplicate["coalesced"] is True
+            assert duplicate["job_id"] == accepted["job_id"]
+            release.set()
+            payload = client.wait(accepted["job_id"], timeout=30.0)
+            assert payload["criterion"] == "equivalent"
+            # The queue drained: the previously rejected pair is accepted now.
+            assert client.submit(ghz_ladder(4), ghz_ladder(4))["job_id"]
+            assert client.stats()["rejected"] == 1
+        finally:
+            release.set()
+            server.close()
+
+    def test_jobs_table_stays_bounded_under_saturating_load(self):
+        server = VerificationServer(
+            port=0,
+            configuration=Configuration(seed=SEED, max_workers=1),
+            queue_limit=2,
+        )
+        server.start_background()
+        release = _hold_worker(server.service)
+        try:
+            client = VerificationClient(server.url, timeout=10.0)
+            outcomes = {"accepted": 0, "rejected": 0}
+            for size in range(2, 14):  # twelve distinct pairs against limit 2
+                try:
+                    client.submit(ghz_ladder(size), ghz_ladder(size))
+                    outcomes["accepted"] += 1
+                except ServiceError as error:
+                    assert error.status == 429
+                    assert error.retry_after is not None
+                    outcomes["rejected"] += 1
+            assert outcomes["accepted"] == 2
+            assert outcomes["rejected"] == 10
+            assert server.service.queue_depth() <= 2
+        finally:
+            release.set()
+            server.close()
+
+
+class TestRateLimit:
+    def test_token_bucket_rejects_burst_overflow(self):
+        server = VerificationServer(
+            port=0,
+            configuration=Configuration(seed=SEED, max_workers=2),
+            rate_limit=0.5,
+            rate_burst=2,
+        )
+        server.start_background()
+        try:
+            client = VerificationClient(server.url, timeout=10.0)
+            client.submit(ghz_ladder(2), ghz_ladder(2))
+            client.submit(ghz_ladder(3), ghz_ladder(3))
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(ghz_ladder(4), ghz_ladder(4))
+            assert excinfo.value.status == 429
+            assert excinfo.value.retry_after is not None
+            assert excinfo.value.retry_after > 0
+            # GETs are not rate limited: the client can still collect.
+            assert client.stats()["submitted"] == 2
+            assert (
+                'repro_service_rejected_total{reason="rate_limit"} 1'
+                in client.metrics()
+            )
+        finally:
+            server.close()
+
+    def test_client_table_forgets_the_least_recent_client(self, monkeypatch):
+        monkeypatch.setattr(server_module, "_MAX_RATE_LIMITED_CLIENTS", 2)
+        limiter = server_module._RateLimiter(rate=0.001, burst=1)
+        assert limiter.acquire("a") is None
+        assert limiter.acquire("a") > 0  # bucket empty
+        assert limiter.acquire("b") is None
+        assert limiter.acquire("c") is None  # evicts "a", the least recent
+        assert limiter.acquire("a") is None  # a forgotten client starts full
+        assert len(limiter._buckets) == 2
+
+    def test_burst_without_rate_is_an_error(self, capsys):
+        assert main(["serve", "--port", "0", "--rate-burst", "5"]) == 2
+        assert "rate_burst needs a rate_limit" in capsys.readouterr().err
+
+    def test_concurrent_acquires_never_overdraw_a_bucket(self):
+        limiter = server_module._RateLimiter(rate=1e-9, burst=50)
+        granted: list[bool] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def hammer():
+                for _ in range(100):
+                    granted.append(limiter.acquire("client") is None)
+
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(granted) == 800
+        assert sum(granted) == 50
+
+
+class TestLongPoll:
+    def test_warm_cache_verify_takes_two_requests(self, client, monkeypatch):
+        first, second = ghz_ladder(3), ghz_ladder(3)
+        client.verify(first, second, timeout=30.0)  # warm the verdict cache
+        calls = []
+        original = client._request
+
+        def counting(method, path, payload=None, timeout=None, headers=None):
+            calls.append((method, path))
+            return original(method, path, payload, timeout, headers=headers)
+
+        monkeypatch.setattr(client, "_request", counting)
+        payload = client.verify(first, second, timeout=30.0)
+        assert payload["cached"] is True
+        assert len(calls) == 2, f"expected submit+result, got {calls}"
+        assert calls[0][0] == "POST"
+        assert "wait=" in calls[1][1]
+
+    def test_long_poll_blocks_until_settlement_and_wakes_all_waiters(
+        self, server, client
+    ):
+        release = _hold_worker(server.service)
+        submission = client.submit(ghz_ladder(3), ghz_ladder(3))
+        job_id = submission["job_id"]
+        results: list[dict] = []
+        errors: list[Exception] = []
+
+        def waiter():
+            try:
+                results.append(client.result(job_id, wait=20.0))
+            except Exception as error:  # noqa: BLE001 - collected for the assertion
+                errors.append(error)
+
+        threads = [threading.Thread(target=waiter) for _ in range(3)]
+        started = time.monotonic()
+        for thread in threads:
+            thread.start()
+        time.sleep(0.3)
+        assert not results, "long-poll answered before the job settled"
+        release.set()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not errors
+        assert len(results) == 3
+        assert all(payload["criterion"] == "equivalent" for payload in results)
+        assert time.monotonic() - started < 15.0
+
+    def test_zero_wait_is_immediate_409_while_running(self, server, client):
+        release = _hold_worker(server.service)
+        try:
+            submission = client.submit(ghz_ladder(3), ghz_ladder(3))
+            with pytest.raises(ServiceError) as excinfo:
+                client.result(submission["job_id"])
+            assert excinfo.value.status == 409
+        finally:
+            release.set()
+
+    def test_invalid_wait_value_is_400(self, client):
+        submission = client.submit(ghz_ladder(3), ghz_ladder(3))
+        client.wait(submission["job_id"], timeout=30.0)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", f"/jobs/{submission['job_id']}/result?wait=banana")
+        assert excinfo.value.status == 400
+
+
+class TestPrunedJobs:
+    def test_pruned_job_result_served_from_cache(self):
+        server = VerificationServer(
+            port=0,
+            configuration=Configuration(seed=SEED, max_workers=1),
+            max_finished_jobs=1,
+        )
+        server.start_background()
+        try:
+            client = VerificationClient(server.url, timeout=10.0)
+            first = client.submit(ghz_ladder(3), ghz_ladder(3))
+            client.wait(first["job_id"], timeout=30.0)
+            second = client.submit(ghz_ladder(4), ghz_ladder(4))
+            client.wait(second["job_id"], timeout=30.0)
+            # first settled job is pruned (retention=1) but its verdict is
+            # still served, flagged as coming from the cache.
+            payload = client.result(first["job_id"])
+            assert payload["criterion"] == "equivalent"
+            assert payload["served_from"] == "verdict_cache"
+            with pytest.raises(ServiceError) as excinfo:
+                client.status(first["job_id"])
+            assert excinfo.value.status == 410
+        finally:
+            server.close()
+
+    def test_pruned_and_uncached_job_is_a_distinguishable_410(self):
+        server = VerificationServer(
+            port=0,
+            configuration=Configuration(seed=SEED, max_workers=1),
+            max_finished_jobs=1,
+            cache=False,
+        )
+        server.start_background()
+        try:
+            client = VerificationClient(server.url, timeout=10.0)
+            first = client.submit(ghz_ladder(3), ghz_ladder(3))
+            client.wait(first["job_id"], timeout=30.0)
+            second = client.submit(ghz_ladder(4), ghz_ladder(4))
+            client.wait(second["job_id"], timeout=30.0)
+            with pytest.raises(ServiceError) as excinfo:
+                client.wait(first["job_id"], timeout=5.0)
+            assert excinfo.value.status == 410
+            assert "resubmit" in str(excinfo.value)
+        finally:
+            server.close()
+
+
+class TestMetricsEndpoint:
+    REQUIRED_FAMILIES = (
+        "repro_http_requests_total",
+        "repro_service_queue_depth",
+        "repro_service_submissions_total",
+        "repro_service_coalesced_total",
+        "repro_verdict_cache_hit_ratio",
+        "repro_checker_latency_seconds",
+        "repro_canonical_fingerprints_total",
+        "repro_rewrite_reductions_total",
+        "repro_rewrite_events_total",
+    )
+
+    @staticmethod
+    def _assert_parseable_prometheus(text: str) -> dict[str, str]:
+        """Minimal format check: TYPE lines agree with sample lines."""
+        types: dict[str, str] = {}
+        for line in text.splitlines():
+            if line.startswith("# TYPE "):
+                _, _, name, kind = line.split(" ", 3)
+                assert kind in ("counter", "gauge", "histogram")
+                types[name] = kind
+            elif line and not line.startswith("#"):
+                series, _, value = line.rpartition(" ")
+                float(value)  # every sample value must parse
+                assert series
+        return types
+
+    def test_metrics_cover_required_families(self, client):
+        client.verify(ghz_ladder(3), ghz_ladder(3), timeout=30.0)
+        client.verify(ghz_ladder(3), ghz_ladder(3), timeout=30.0)
+        text = client.metrics()
+        types = self._assert_parseable_prometheus(text)
+        for family in self.REQUIRED_FAMILIES:
+            assert family in types, f"missing metric family {family}"
+        assert types["repro_checker_latency_seconds"] == "histogram"
+        assert 'repro_http_requests_total{method="POST", status="202"} 2' in text
+
+
+class TestConnectionLimits:
+    def test_listen_backlog_absorbs_a_burst_of_connects(self):
+        # Regression: the stdlib backlog of 5 left connects past it waiting
+        # about 1 s for the kernel's SYN retransmit.  Nothing accepts here,
+        # so every handshake below is completed by the backlog alone.
+        server = VerificationServer(port=0, configuration=Configuration(seed=SEED))
+        sockets = [socket.socket() for _ in range(16)]
+        try:
+            for sock in sockets:
+                sock.setblocking(False)
+                sock.connect_ex(("127.0.0.1", server.port))
+            pending = set(sockets)
+            deadline = time.monotonic() + 0.5
+            while pending and time.monotonic() < deadline:
+                _, connected, _ = select.select(
+                    [], list(pending), [], deadline - time.monotonic()
+                )
+                pending -= set(connected)
+            assert not pending, f"{len(pending)} of 16 connects still pending"
+            for sock in sockets:
+                assert sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR) == 0
+        finally:
+            for sock in sockets:
+                sock.close()
+            server.close()
+
+    def test_handler_cap_answers_503_with_retry_after(self, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_HANDLER_THREADS", 2)
+        server = VerificationServer(
+            port=0, configuration=Configuration(seed=SEED, max_workers=1)
+        )
+        server.start_background()
+        release = _hold_worker(server.service)
+        try:
+            # The client retries 503s: a waiter that races a probe below for
+            # the last slot comes back after Retry-After.
+            client = VerificationClient(server.url, timeout=30.0, retries=5)
+            job_id = client.submit(ghz_ladder(3), ghz_ladder(3))["job_id"]
+            waiters = [
+                threading.Thread(
+                    target=client.result, args=(job_id,), kwargs={"wait": 20.0}
+                )
+                for _ in range(2)
+            ]
+            for waiter in waiters:
+                waiter.start()
+            # Both long-polls hold a handler thread once they are parked.
+            deadline = time.monotonic() + 10.0
+            while True:
+                status_line, headers, body = _exchange(
+                    server.port, b"GET /healthz HTTP/1.0\r\n\r\n"
+                )
+                if " 503 " in status_line or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+            assert status_line.startswith("HTTP/1.0 503 "), status_line
+            assert headers["Retry-After"] == "1"
+            assert "busy" in json.loads(body)["error"]
+            release.set()
+            for waiter in waiters:
+                waiter.join(timeout=30.0)
+                assert not waiter.is_alive()
+            # The long-polls returned their threads: requests are served again.
+            assert client.health()["ok"] is True
+        finally:
+            release.set()
+            server.close()
 
 
 class TestServeCli:
