@@ -9,8 +9,7 @@ every PR can run to record the kernel-performance trajectory:
 * ``apply_product``     — the alternating-scheme inner loop: multiply each
   gate DD into the running product (``multiply_matrices`` + ``_add``).
 * ``qft_verification``  — end-to-end ``check_equivalence`` of the static vs.
-  dynamic QFT pair (the Table-1 t_ver column), optionally with the hybrid
-  ``dense_cutoff`` kernels for comparison.
+  dynamic QFT pair (the Table-1 t_ver column).
 
 Results are emitted as ``BENCH_table1.json`` (schema shared via
 ``bench_common.validate_bench_payload``; the script exits non-zero if its own
@@ -21,7 +20,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_dd_kernels.py                 # full run
     PYTHONPATH=src python benchmarks/bench_dd_kernels.py --quick         # CI smoke
-    PYTHONPATH=src python benchmarks/bench_dd_kernels.py --dense-cutoff 6
     PYTHONPATH=src python benchmarks/bench_dd_kernels.py --baseline-ms 153.3
 """
 
@@ -66,11 +64,11 @@ def _gate_list(size: int):
     )
 
 
-def bench_gate_build(size: int, repeats: int, dense_cutoff: int) -> dict:
+def bench_gate_build(size: int, repeats: int) -> dict:
     gates = _gate_list(size)
 
     def build() -> None:
-        package = DDPackage(size, dense_cutoff=dense_cutoff)
+        package = DDPackage(size)
         for instruction in gates:
             instruction_to_dd(package, instruction)
 
@@ -81,16 +79,15 @@ def bench_gate_build(size: int, repeats: int, dense_cutoff: int) -> dict:
         "repeats": repeats,
         "mean_ms": mean_ms,
         "min_ms": min_ms,
-        "dense_cutoff": dense_cutoff,
         "num_gates": len(gates),
     }
 
 
-def bench_apply_product(size: int, repeats: int, dense_cutoff: int) -> dict:
+def bench_apply_product(size: int, repeats: int) -> dict:
     gates = _gate_list(size)
 
     def apply_all() -> None:
-        package = DDPackage(size, dense_cutoff=dense_cutoff)
+        package = DDPackage(size)
         product = package.identity()
         for instruction in gates:
             product = package.multiply_matrices(
@@ -104,18 +101,17 @@ def bench_apply_product(size: int, repeats: int, dense_cutoff: int) -> dict:
         "repeats": repeats,
         "mean_ms": mean_ms,
         "min_ms": min_ms,
-        "dense_cutoff": dense_cutoff,
         "num_gates": len(gates),
     }
 
 
-def bench_qft_verification(size: int, repeats: int, dense_cutoff: int) -> dict:
+def bench_qft_verification(size: int, repeats: int) -> dict:
     static = qft_static_benchmark(size)
     dynamic = qft_dynamic(size)
     criteria = []
 
     def verify() -> None:
-        result = check_equivalence(static, dynamic, dense_cutoff=dense_cutoff)
+        result = check_equivalence(static, dynamic)
         criteria.append(result.criterion.value)
 
     mean_ms, min_ms = _time(verify, repeats)
@@ -127,7 +123,6 @@ def bench_qft_verification(size: int, repeats: int, dense_cutoff: int) -> dict:
         "repeats": repeats,
         "mean_ms": mean_ms,
         "min_ms": min_ms,
-        "dense_cutoff": dense_cutoff,
         "criterion": criteria[0],
     }
 
@@ -137,11 +132,9 @@ def run(args: argparse.Namespace) -> dict:
     repeats = args.repeats or (2 if args.quick else 5)
     results = []
     for size in sizes:
-        results.append(bench_gate_build(size, repeats, 0))
-        results.append(bench_apply_product(size, repeats, 0))
-        results.append(bench_qft_verification(size, repeats, 0))
-        if args.dense_cutoff:
-            results.append(bench_qft_verification(size, repeats, args.dense_cutoff))
+        results.append(bench_gate_build(size, repeats))
+        results.append(bench_apply_product(size, repeats))
+        results.append(bench_qft_verification(size, repeats))
 
     payload: dict = {
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -151,11 +144,7 @@ def run(args: argparse.Namespace) -> dict:
         "results": results,
     }
 
-    reference = [
-        entry
-        for entry in results
-        if entry["name"] == "qft_verification" and entry["dense_cutoff"] == 0
-    ]
+    reference = [entry for entry in results if entry["name"] == "qft_verification"]
     largest = max(reference, key=lambda entry: entry["n"])
     if args.baseline_ms and largest["n"] == 14:
         payload["baseline"] = {
@@ -171,13 +160,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true", help="small sizes / few repeats (CI smoke)")
     parser.add_argument("--sizes", type=int, nargs="*", default=None, metavar="N")
     parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument(
-        "--dense-cutoff",
-        type=int,
-        default=0,
-        metavar="K",
-        help="additionally record qft_verification with the hybrid kernels at cutoff K",
-    )
     parser.add_argument(
         "--baseline-ms",
         type=float,
@@ -201,10 +183,9 @@ def main(argv: list[str] | None = None) -> int:
 
     for entry in payload["results"]:
         extra = f" criterion={entry['criterion']}" if "criterion" in entry else ""
-        cutoff = f" cutoff={entry['dense_cutoff']}" if entry.get("dense_cutoff") else ""
         print(
             f"{entry['name']:>18} n={entry['n']:<3} mean={entry['mean_ms']:8.2f}ms "
-            f"min={entry['min_ms']:8.2f}ms{cutoff}{extra}"
+            f"min={entry['min_ms']:8.2f}ms{extra}"
         )
     if "speedup_vs_baseline" in payload:
         print(f"speedup vs {payload['baseline']['source']}: {payload['speedup_vs_baseline']:.2f}x")

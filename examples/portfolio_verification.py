@@ -101,15 +101,12 @@ def main() -> None:
     #    Circuits and the configuration are pickled into worker processes
     #    (batch_chunk_size pairs per work unit); every worker rebuilds its
     #    own manager, and DD packages never cross process boundaries.
-    #    gate_cache_size bounds each package's gate-DD cache (LRU eviction)
-    #    so long-lived workers stay memory-bounded.
     # ------------------------------------------------------------------
     process_manager = EquivalenceCheckingManager(
         seed=42,
         executor="process",
         max_workers=4,
         batch_chunk_size=2,
-        gate_cache_size=256,
     )
     batch = process_manager.verify_batch(pairs)
     summary = batch.summary()

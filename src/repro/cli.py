@@ -122,16 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed of the simulative stimuli (fixed seeds make verdicts cacheable)",
     )
     verify.add_argument(
-        "--dense-cutoff",
-        type=int,
-        default=0,
-        metavar="K",
-        help=(
-            "evaluate DD subtrees below level K as dense numpy blocks "
-            "(hybrid kernels; 0 disables)"
-        ),
-    )
-    verify.add_argument(
         "--portfolio",
         default=None,
         metavar="CHECKERS",
@@ -226,13 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     batch.add_argument(
-        "--dense-cutoff",
-        type=int,
-        default=0,
-        metavar="K",
-        help="hybrid dense-subtree cutoff of the DD kernels (0 disables)",
-    )
-    batch.add_argument(
         "--scheduler",
         default="static",
         choices=list(available_schedulers()),
@@ -255,13 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="circuit pairs per process work unit (amortizes pickling overhead)",
-    )
-    batch.add_argument(
-        "--gate-cache-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bound the per-package gate-DD cache (LRU eviction; default unbounded)",
     )
     batch.add_argument("--timeout", type=float, default=None, help="overall budget per pair in seconds")
     batch.add_argument(
@@ -341,20 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4096,
         metavar="N",
         help="LRU bound of the in-memory verdict-cache tier",
-    )
-    serve.add_argument(
-        "--gate-cache-size",
-        type=int,
-        default=256,
-        metavar="N",
-        help="bound the per-package gate-DD caches (long-lived workers)",
-    )
-    serve.add_argument(
-        "--gate-cache-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="expire memoized gate DDs older than this (lazy, on lookup)",
     )
     serve.add_argument(
         "--queue-limit",
@@ -522,7 +484,6 @@ def _command_verify(args: argparse.Namespace) -> int:
         backend=args.backend,
         tolerance=args.tolerance,
         seed=args.seed,
-        dense_cutoff=args.dense_cutoff,
         portfolio=_parse_portfolio(args.portfolio),
         scheduler=args.scheduler,
         timeout=args.timeout,
@@ -632,7 +593,6 @@ def _command_batch(args: argparse.Namespace) -> int:
         backend=args.backend,
         tolerance=args.tolerance,
         seed=args.seed,
-        dense_cutoff=args.dense_cutoff,
         portfolio=_parse_portfolio(args.portfolio),
         scheduler=args.scheduler,
         timeout=args.timeout,
@@ -640,7 +600,6 @@ def _command_batch(args: argparse.Namespace) -> int:
         max_workers=args.max_workers,
         executor=args.executor,
         batch_chunk_size=args.chunk_size,
-        gate_cache_size=args.gate_cache_size,
         verdict_cache=args.verdict_cache,
         cache_path=args.cache_path,
         canonicalize=True if args.canonicalize is None else args.canonicalize,
@@ -746,8 +705,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         verdict_cache=use_cache,
         cache_path=args.cache_path if use_cache else None,
         cache_size=args.cache_size,
-        gate_cache_size=args.gate_cache_size,
-        gate_cache_ttl=args.gate_cache_ttl,
         telemetry_path=args.telemetry,
     )
     # Without --queue-limit the server picks its own default.

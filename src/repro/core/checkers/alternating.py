@@ -59,13 +59,7 @@ class AlternatingChecker(Checker):
     ) -> Generator[int, None, CheckerOutcome]:
         """One step per gate application, yielding the product's node count."""
         num_qubits = first.num_qubits
-        package = DDPackage(
-            num_qubits,
-            gate_cache=config.gate_cache,
-            gate_cache_size=config.gate_cache_size,
-            gate_cache_ttl=config.gate_cache_ttl,
-            dense_cutoff=config.dense_cutoff,
-        )
+        package = DDPackage(num_qubits, gate_cache=config.gate_cache)
         left, right = gate_lists(first, second)
         product = package.identity()
         max_nodes = package.count_nodes(product)

@@ -47,13 +47,7 @@ class ConstructionChecker(Checker):
         """One step per gate of either build, yielding the DD's node count."""
         config = configuration
         if config.backend == "dd":
-            package = DDPackage(
-                first.num_qubits,
-                gate_cache=config.gate_cache,
-                gate_cache_size=config.gate_cache_size,
-                gate_cache_ttl=config.gate_cache_ttl,
-                dense_cutoff=config.dense_cutoff,
-            )
+            package = DDPackage(first.num_qubits, gate_cache=config.gate_cache)
             unitaries = []
             for circuit in (first, second.remove_final_measurements().inverse()):
                 for unitary in unitary_dd_steps(package, circuit):

@@ -69,28 +69,8 @@ class Configuration:
         Whether the decision-diagram backend memoizes per-gate DDs (see
         :meth:`repro.dd.package.DDPackage.gate_cache_lookup`).  On by default;
         switching it off is mainly useful for benchmarking the cache itself.
-    gate_cache_size:
-        Upper bound on the number of memoized gate DDs (and operator chains)
-        per :class:`~repro.dd.package.DDPackage`, evicted least-recently-used
-        first.  ``None`` (the default) keeps the caches unbounded, which is
-        fine for one-shot checks; long-lived worker processes should set a
-        bound so their packages do not grow without limit.
-    gate_cache_ttl:
-        Time-based expiry (seconds) for the memoized gate DDs and operator
-        chains: an entry older than the TTL is dropped lazily on lookup
-        (expiry counters in ``DDPackage.statistics()``).  ``None`` (the
-        default) never expires entries.  Meant for long-lived service
-        workers whose traffic mix drifts over time — stale gate DDs age out
-        instead of pinning memory forever.
-    dense_cutoff:
-        Hybrid dense-subtree cutoff of the DD kernels: sub-diagrams rooted
-        strictly below this level are evaluated as dense numpy blocks
-        (memoized per node) and re-imported through the normal normalizing
-        node construction.  ``0`` disables the hybrid path; small positive
-        values (4-8) trade an exponential-in-cutoff amount of per-subtree
-        memory for far fewer Python-level recursion steps on the lowest
-        levels.  Verdicts are unchanged either way — the dense path computes
-        the same sums/products and lands in the same unique table.
+        Each package lives for one checker attempt, so the memo is an
+        unbounded dict that is dropped with it.
     portfolio:
         Checker names run by the
         :class:`~repro.core.manager.EquivalenceCheckingManager`; every name
@@ -197,9 +177,6 @@ class Configuration:
     stimuli_type: str = "product"
     seed: int | None = None
     gate_cache: bool = True
-    gate_cache_size: int | None = None
-    gate_cache_ttl: float | None = None
-    dense_cutoff: int = 0
     portfolio: tuple[str, ...] | None = None
     scheduler: str = "static"
     timeout: float | None = None
@@ -270,12 +247,6 @@ class Configuration:
             )
         if self.batch_chunk_size < 1:
             raise ConfigurationError("batch_chunk_size must be at least 1")
-        if self.gate_cache_size is not None and self.gate_cache_size < 1:
-            raise ConfigurationError("gate_cache_size must be at least 1 (or None)")
-        if self.gate_cache_ttl is not None and self.gate_cache_ttl <= 0:
-            raise ConfigurationError("gate_cache_ttl must be positive (or None)")
-        if self.dense_cutoff < 0:
-            raise ConfigurationError("dense_cutoff must be non-negative (0 disables)")
         if self.cache_size is not None and self.cache_size < 1:
             raise ConfigurationError("cache_size must be at least 1 (or None)")
         if not isinstance(self.canonicalize, bool):

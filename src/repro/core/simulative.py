@@ -59,9 +59,6 @@ def simulation_steps(
     tolerance: float = 1e-7,
     seed: int | None = None,
     gate_cache: bool = True,
-    gate_cache_size: int | None = None,
-    gate_cache_ttl: float | None = None,
-    dense_cutoff: int = 0,
 ) -> Generator[int | None, None, tuple[bool, dict]]:
     """:func:`run_simulative_check` as a step generator, one step per stimulus.
 
@@ -83,17 +80,7 @@ def simulation_steps(
     details: dict = {"num_simulations": num_simulations, "stimuli_type": stimuli_type}
     # One shared package across all stimuli: the circuits' gate DDs are built
     # once and then served from the gate cache on every subsequent run.
-    package = (
-        DDPackage(
-            num_qubits,
-            gate_cache=gate_cache,
-            gate_cache_size=gate_cache_size,
-            gate_cache_ttl=gate_cache_ttl,
-            dense_cutoff=dense_cutoff,
-        )
-        if backend == "dd"
-        else None
-    )
+    package = DDPackage(num_qubits, gate_cache=gate_cache) if backend == "dd" else None
 
     for run in range(num_simulations):
         if stimuli_type == "basis":

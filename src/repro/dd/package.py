@@ -27,9 +27,9 @@ follow a small set of strict conventions:
   :data:`~repro.dd.nodes.V_ONE` / :data:`~repro.dd.nodes.M_ONE`; kernels
   return those instead of allocating fresh terminal edges.
 * ``VEdge`` / ``MEdge`` constructors store weights *as-is*.  Values crossing
-  the numpy boundary (``operator_chain``, ``vector_from_numpy``, the dense
-  re-import helpers, ``scale_*``) are coerced to Python ``complex`` once per
-  entry, so downstream arithmetic stays on native complex numbers.
+  the numpy boundary (``operator_chain``, ``vector_from_numpy``, ``scale_*``)
+  are coerced to Python ``complex`` once per entry, so downstream arithmetic
+  stays on native complex numbers.
 * Kernels never use the ``is_zero`` / ``is_terminal`` properties; they inline
   ``edge.node is None`` / ``weight == 0`` checks.
 * Node construction goes through the specialized ``_make_vector_node`` /
@@ -43,25 +43,17 @@ follow a small set of strict conventions:
   right/left weight *ratio* — so numerically scaled instances of the same
   structural computation always hit the same entry.
 
-Hybrid dense-subtree cutoff
----------------------------
-With ``dense_cutoff = k > 0``, recursive arithmetic (add, matrix-vector and
-matrix-matrix multiply) on sub-diagrams rooted strictly below level ``k``
-switches to dense numpy blocks: the operands are expanded (memoized per
-node), combined with one vectorized numpy operation, and the result is
-re-imported through the normal normalizing node construction — so the result
-lands in the same unique table and downstream verdicts are unchanged.  Small
-sub-matrices are exactly where the recursive kernels pay the most Python
-overhead per amplitude, which makes this profitable for the small-register
-Table-1 instances; ``dense_cutoff = 0`` (the default of the raw package)
-disables the hybrid path.
+Lifetime
+--------
+A package lives for one checker attempt and is dropped with everything it
+built, so its tables and memo caches are unbounded plain dicts: nothing in
+them outlives the run that filled it, and the unique table keeps every node
+alive until then anyway.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -81,14 +73,7 @@ _X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 
 #: :meth:`DDPackage.statistics` keys that accumulate as counters; everything
 #: else in the statistics dict is a point-in-time size.
-DD_COUNTER_KEYS = (
-    "gate_cache_hits",
-    "gate_cache_misses",
-    "gate_cache_evictions",
-    "gate_cache_expirations",
-    "chain_cache_evictions",
-    "chain_cache_expirations",
-)
+DD_COUNTER_KEYS = ("gate_cache_hits", "gate_cache_misses")
 
 
 def merge_dd_statistics(accumulator: dict, statistics: dict) -> dict:
@@ -113,8 +98,8 @@ class DDPackage:
     All nodes created through one package share its unique table and compute
     tables; diagrams from different packages must not be mixed.
 
-    ``dense_cutoff`` enables the hybrid dense-subtree kernels for sub-diagrams
-    rooted below that level (see the module docstring); ``0`` disables them.
+    ``gate_cache`` switches the per-package memo of gate DDs and operator
+    chains (see :meth:`gate_cache_lookup`); off, every gate is rebuilt.
     """
 
     def __init__(
@@ -122,21 +107,11 @@ class DDPackage:
         num_qubits: int,
         tolerance: float = DEFAULT_TOLERANCE,
         gate_cache: bool = True,
-        gate_cache_size: int | None = None,
-        gate_cache_ttl: float | None = None,
-        dense_cutoff: int = 0,
     ):
         if num_qubits < 1:
             raise DDError("a DD package needs at least one qubit")
-        if gate_cache_size is not None and gate_cache_size < 1:
-            raise DDError("gate_cache_size must be at least 1 (or None for unbounded)")
-        if gate_cache_ttl is not None and gate_cache_ttl <= 0:
-            raise DDError("gate_cache_ttl must be positive (or None for no expiry)")
-        if dense_cutoff < 0:
-            raise DDError("dense_cutoff must be non-negative (0 disables the hybrid kernels)")
         self.num_qubits = num_qubits
         self.tolerance = tolerance
-        self.dense_cutoff = dense_cutoff
         self._vector_table: UniqueTable[VNode] = UniqueTable()
         self._matrix_table: UniqueTable[MNode] = UniqueTable()
         self._add_v = ComputeTable("vector-add")
@@ -147,34 +122,11 @@ class DDPackage:
         self._norm = ComputeTable("norm-squared")
         self._max_entry = ComputeTable("max-entry")
         self._trace = ComputeTable("trace")
-        # Dense expansions of sub-diagram nodes (weight-1 root), keyed by node
-        # id; only populated when ``dense_cutoff > 0``.
-        self._dense_v_cache: dict[int, np.ndarray] = {}
-        self._dense_m_cache: dict[int, np.ndarray] = {}
         self.gate_cache_enabled = gate_cache
-        # Both memoization caches are LRU-ordered: a hit refreshes the entry,
-        # a store beyond ``gate_cache_size`` evicts the least recently used
-        # entry.  ``None`` keeps them unbounded (fine for one-shot checks;
-        # long-lived worker processes should set a bound).
-        self.gate_cache_size = gate_cache_size
-        # Time-based expiry, checked *lazily* on lookup (no sweeper thread —
-        # this is the pattern long-lived service workers need: entries whose
-        # traffic went away age out the next time anything asks for them).
-        # Timestamps live in side dicts so the TTL-off hot path stays the
-        # plain OrderedDict access the PR 3 kernels were tuned for; the
-        # clock is an attribute so tests can inject a fake one.
-        self.gate_cache_ttl = gate_cache_ttl
-        self._clock = time.monotonic
-        self._gate_cache: OrderedDict = OrderedDict()
-        self._gate_cache_times: dict = {}
+        self._gate_cache: dict = {}
         self._gate_cache_hits = 0
         self._gate_cache_misses = 0
-        self._gate_cache_evictions = 0
-        self._gate_cache_expirations = 0
-        self._chain_cache: OrderedDict = OrderedDict()
-        self._chain_cache_times: dict = {}
-        self._chain_cache_evictions = 0
-        self._chain_cache_expirations = 0
+        self._chain_cache: dict = {}
 
     def __reduce__(self):
         raise TypeError(
@@ -409,23 +361,10 @@ class DDPackage:
             )
             cached = self._chain_cache.get(key)
             if cached is not None:
-                if self.gate_cache_ttl is not None and (
-                    self._clock() - self._chain_cache_times[key] > self.gate_cache_ttl
-                ):
-                    del self._chain_cache[key]
-                    del self._chain_cache_times[key]
-                    self._chain_cache_expirations += 1
-                else:
-                    self._chain_cache.move_to_end(key)
-                    return cached
+                return cached
         edge = self._build_operator_chain(operators)
         if key is not None:
             self._chain_cache[key] = edge
-            if self.gate_cache_ttl is not None:
-                self._chain_cache_times[key] = self._clock()
-            self._chain_cache_evictions += self._evict_lru(
-                self._chain_cache, self._chain_cache_times
-            )
         return edge
 
     def _build_operator_chain(self, operators: Mapping[int, np.ndarray]) -> MEdge:
@@ -542,19 +481,15 @@ class DDPackage:
         table = self._add_v._table
         cached = table.get(key)
         if cached is None:
-            if index < self.dense_cutoff:
-                dense = self._node_dense_v(lnode) + ratio * self._node_dense_v(rnode)
-                cached = self._vector_from_dense(dense, index)
-            else:
-                ledges = lnode.edges
-                redges = rnode.edges
-                r0 = redges[0]
-                r1 = redges[1]
-                cached = self._make_vector_node(
-                    index,
-                    self._add_v_rec(ledges[0], VEdge(r0.node, r0.weight * ratio)),
-                    self._add_v_rec(ledges[1], VEdge(r1.node, r1.weight * ratio)),
-                )
+            ledges = lnode.edges
+            redges = rnode.edges
+            r0 = redges[0]
+            r1 = redges[1]
+            cached = self._make_vector_node(
+                index,
+                self._add_v_rec(ledges[0], VEdge(r0.node, r0.weight * ratio)),
+                self._add_v_rec(ledges[1], VEdge(r1.node, r1.weight * ratio)),
+            )
             table[key] = cached
         return VEdge(cached.node, cached.weight * lweight)
 
@@ -583,23 +518,19 @@ class DDPackage:
         table = self._add_m._table
         cached = table.get(key)
         if cached is None:
-            if index < self.dense_cutoff:
-                dense = self._node_dense_m(lnode) + ratio * self._node_dense_m(rnode)
-                cached = self._matrix_from_dense(dense, index)
-            else:
-                ledges = lnode.edges
-                redges = rnode.edges
-                r0 = redges[0]
-                r1 = redges[1]
-                r2 = redges[2]
-                r3 = redges[3]
-                cached = self._make_matrix_node(
-                    index,
-                    self._add_m_rec(ledges[0], MEdge(r0.node, r0.weight * ratio)),
-                    self._add_m_rec(ledges[1], MEdge(r1.node, r1.weight * ratio)),
-                    self._add_m_rec(ledges[2], MEdge(r2.node, r2.weight * ratio)),
-                    self._add_m_rec(ledges[3], MEdge(r3.node, r3.weight * ratio)),
-                )
+            ledges = lnode.edges
+            redges = rnode.edges
+            r0 = redges[0]
+            r1 = redges[1]
+            r2 = redges[2]
+            r3 = redges[3]
+            cached = self._make_matrix_node(
+                index,
+                self._add_m_rec(ledges[0], MEdge(r0.node, r0.weight * ratio)),
+                self._add_m_rec(ledges[1], MEdge(r1.node, r1.weight * ratio)),
+                self._add_m_rec(ledges[2], MEdge(r2.node, r2.weight * ratio)),
+                self._add_m_rec(ledges[3], MEdge(r3.node, r3.weight * ratio)),
+            )
             table[key] = cached
         return MEdge(cached.node, cached.weight * lweight)
 
@@ -631,20 +562,16 @@ class DDPackage:
         table = self._mult_mv._table
         cached = table.get(key)
         if cached is None:
-            if index < self.dense_cutoff:
-                dense = self._node_dense_m(mnode) @ self._node_dense_v(vnode)
-                cached = self._vector_from_dense(dense, index)
-            else:
-                medges = mnode.edges
-                vedges = vnode.edges
-                v0 = vedges[0]
-                v1 = vedges[1]
-                multiply = self.multiply_matrix_vector
-                cached = self._make_vector_node(
-                    index,
-                    self._add_v_rec(multiply(medges[0], v0), multiply(medges[1], v1)),
-                    self._add_v_rec(multiply(medges[2], v0), multiply(medges[3], v1)),
-                )
+            medges = mnode.edges
+            vedges = vnode.edges
+            v0 = vedges[0]
+            v1 = vedges[1]
+            multiply = self.multiply_matrix_vector
+            cached = self._make_vector_node(
+                index,
+                self._add_v_rec(multiply(medges[0], v0), multiply(medges[1], v1)),
+                self._add_v_rec(multiply(medges[2], v0), multiply(medges[3], v1)),
+            )
             table[key] = cached
         return VEdge(cached.node, cached.weight * (mweight * vweight))
 
@@ -676,107 +603,27 @@ class DDPackage:
         table = self._mult_mm._table
         cached = table.get(key)
         if cached is None:
-            if index < self.dense_cutoff:
-                dense = self._node_dense_m(lnode) @ self._node_dense_m(rnode)
-                cached = self._matrix_from_dense(dense, index)
-            else:
-                ledges = lnode.edges
-                redges = rnode.edges
-                l0 = ledges[0]
-                l1 = ledges[1]
-                l2 = ledges[2]
-                l3 = ledges[3]
-                r0 = redges[0]
-                r1 = redges[1]
-                r2 = redges[2]
-                r3 = redges[3]
-                multiply = self.multiply_matrices
-                add = self._add_m_rec
-                cached = self._make_matrix_node(
-                    index,
-                    add(multiply(l0, r0), multiply(l1, r2)),
-                    add(multiply(l0, r1), multiply(l1, r3)),
-                    add(multiply(l2, r0), multiply(l3, r2)),
-                    add(multiply(l2, r1), multiply(l3, r3)),
-                )
+            ledges = lnode.edges
+            redges = rnode.edges
+            l0 = ledges[0]
+            l1 = ledges[1]
+            l2 = ledges[2]
+            l3 = ledges[3]
+            r0 = redges[0]
+            r1 = redges[1]
+            r2 = redges[2]
+            r3 = redges[3]
+            multiply = self.multiply_matrices
+            add = self._add_m_rec
+            cached = self._make_matrix_node(
+                index,
+                add(multiply(l0, r0), multiply(l1, r2)),
+                add(multiply(l0, r1), multiply(l1, r3)),
+                add(multiply(l2, r0), multiply(l3, r2)),
+                add(multiply(l2, r1), multiply(l3, r3)),
+            )
             table[key] = cached
         return MEdge(cached.node, cached.weight * (lweight * rweight))
-
-    # ------------------------------------------------------------------
-    # hybrid dense-subtree kernels
-    # ------------------------------------------------------------------
-
-    def _node_dense_v(self, node: VNode) -> np.ndarray:
-        """Dense amplitudes of ``node``'s subtree (root weight 1), memoized."""
-        cache = self._dense_v_cache
-        cached = cache.get(id(node))
-        if cached is not None:
-            return cached
-        index = node.index
-        size = 1 << index
-        array = np.zeros(2 * size, dtype=complex)
-        for slot, edge in enumerate(node.edges):
-            child = edge.node
-            if child is not None:
-                array[slot * size : (slot + 1) * size] = edge.weight * self._node_dense_v(child)
-            elif edge.weight != 0:
-                if index != 0:
-                    raise DDError("dense evaluation requires fully-leveled diagrams")
-                array[slot] = edge.weight
-        cache[id(node)] = array
-        return array
-
-    def _node_dense_m(self, node: MNode) -> np.ndarray:
-        """Dense matrix of ``node``'s subtree (root weight 1), memoized."""
-        cache = self._dense_m_cache
-        cached = cache.get(id(node))
-        if cached is not None:
-            return cached
-        index = node.index
-        size = 1 << index
-        array = np.zeros((2 * size, 2 * size), dtype=complex)
-        for slot, edge in enumerate(node.edges):
-            child = edge.node
-            row = (slot >> 1) * size
-            column = (slot & 1) * size
-            if child is not None:
-                array[row : row + size, column : column + size] = (
-                    edge.weight * self._node_dense_m(child)
-                )
-            elif edge.weight != 0:
-                if index != 0:
-                    raise DDError("dense evaluation requires fully-leveled diagrams")
-                array[row, column] = edge.weight
-        cache[id(node)] = array
-        return array
-
-    def _vector_from_dense(self, array: np.ndarray, level: int) -> VEdge:
-        """Re-import a dense block as a (normalized, hash-consed) vector DD."""
-        if level < 0:
-            return VEdge(None, complex(array[0]))
-        if not array.any():
-            return V_ZERO
-        half = 1 << level
-        return self._make_vector_node(
-            level,
-            self._vector_from_dense(array[:half], level - 1),
-            self._vector_from_dense(array[half:], level - 1),
-        )
-
-    def _matrix_from_dense(self, array: np.ndarray, level: int) -> MEdge:
-        """Re-import a dense block as a (normalized, hash-consed) matrix DD."""
-        if level < 0:
-            return MEdge(None, complex(array[0, 0]))
-        if not array.any():
-            return M_ZERO
-        half = 1 << level
-        return self._make_matrix_node(
-            level,
-            self._matrix_from_dense(array[:half, :half], level - 1),
-            self._matrix_from_dense(array[:half, half:], level - 1),
-            self._matrix_from_dense(array[half:, :half], level - 1),
-            self._matrix_from_dense(array[half:, half:], level - 1),
-        )
 
     # ------------------------------------------------------------------
     # inner products, norms, probabilities
@@ -977,10 +824,7 @@ class DDPackage:
         """Look up a previously built gate DD (None on miss or disabled cache).
 
         Keys are hashable gate descriptions — ``(gate, qubits)`` as produced by
-        :func:`repro.dd.circuits.instruction_to_dd`.  A hit marks the entry as
-        most recently used.  With ``gate_cache_ttl`` set, an entry older than
-        the TTL is dropped here (lazily, on lookup) and counted as both an
-        expiration and a miss.  Hit/miss/eviction/expiry counters feed
+        :func:`repro.dd.circuits.instruction_to_dd`.  Hit/miss counters feed
         :meth:`statistics`.
         """
         if not self.gate_cache_enabled:
@@ -989,43 +833,13 @@ class DDPackage:
         if cached is None:
             self._gate_cache_misses += 1
             return None
-        if self.gate_cache_ttl is not None and (
-            self._clock() - self._gate_cache_times[key] > self.gate_cache_ttl
-        ):
-            del self._gate_cache[key]
-            del self._gate_cache_times[key]
-            self._gate_cache_expirations += 1
-            self._gate_cache_misses += 1
-            return None
         self._gate_cache_hits += 1
-        self._gate_cache.move_to_end(key)
         return cached
 
     def gate_cache_store(self, key, edge: MEdge) -> None:
-        """Memoize the matrix DD of a gate (no-op when the cache is disabled).
-
-        When ``gate_cache_size`` is set, storing beyond the bound evicts the
-        least recently used entries so long-lived packages stay bounded;
-        ``gate_cache_ttl`` additionally stamps the entry for lazy expiry.
-        """
+        """Memoize the matrix DD of a gate (no-op when the cache is disabled)."""
         if self.gate_cache_enabled:
             self._gate_cache[key] = edge
-            if self.gate_cache_ttl is not None:
-                self._gate_cache_times[key] = self._clock()
-            self._gate_cache_evictions += self._evict_lru(
-                self._gate_cache, self._gate_cache_times
-            )
-
-    def _evict_lru(self, cache: OrderedDict, times: dict) -> int:
-        """Trim ``cache`` down to ``gate_cache_size``; returns evicted count."""
-        if self.gate_cache_size is None:
-            return 0
-        evicted = 0
-        while len(cache) > self.gate_cache_size:
-            key, _ = cache.popitem(last=False)
-            times.pop(key, None)
-            evicted += 1
-        return evicted
 
     # ------------------------------------------------------------------
     # conversion and inspection
@@ -1091,19 +905,10 @@ class DDPackage:
             "multiply_mv_cache": len(self._mult_mv),
             "multiply_mm_cache": len(self._mult_mm),
             "trace_cache": len(self._trace),
-            "dense_cutoff": self.dense_cutoff,
-            "dense_vector_cache": len(self._dense_v_cache),
-            "dense_matrix_cache": len(self._dense_m_cache),
-            "chain_cache_size": len(self._chain_cache),
-            "gate_cache_size": len(self._gate_cache),
-            "gate_cache_limit": self.gate_cache_size,
+            "chain_cache_entries": len(self._chain_cache),
+            "gate_cache_entries": len(self._gate_cache),
             "gate_cache_hits": self._gate_cache_hits,
             "gate_cache_misses": self._gate_cache_misses,
-            "gate_cache_evictions": self._gate_cache_evictions,
-            "chain_cache_evictions": self._chain_cache_evictions,
-            "gate_cache_ttl": self.gate_cache_ttl,
-            "gate_cache_expirations": self._gate_cache_expirations,
-            "chain_cache_expirations": self._chain_cache_expirations,
             "gate_cache_hit_ratio": (
                 self._gate_cache_hits / (self._gate_cache_hits + self._gate_cache_misses)
                 if (self._gate_cache_hits + self._gate_cache_misses)
@@ -1138,9 +943,5 @@ class DDPackage:
             self._trace,
         ):
             table.clear()
-        self._dense_v_cache.clear()
-        self._dense_m_cache.clear()
         self._gate_cache.clear()
-        self._gate_cache_times.clear()
         self._chain_cache.clear()
-        self._chain_cache_times.clear()

@@ -19,10 +19,10 @@ Anything that *can* change a verdict is part of the key: gate names,
 parameters, operand order, control states, classical conditions, qubit/clbit
 counts, the order of the two circuits in a pair, and the configuration
 fields listed in :data:`VERDICT_CONFIGURATION_FIELDS`.  Performance-only
-knobs (``executor``, ``max_workers``, ``gate_cache*``, ``dense_cutoff``,
-``batch_chunk_size``, the cache knobs themselves) are deliberately excluded:
-they are verdict-preserving by construction (and agreement-tested), so runs
-that differ only in those knobs share cache entries.
+knobs (``executor``, ``max_workers``, ``gate_cache``, ``batch_chunk_size``,
+the cache knobs themselves) are deliberately excluded: they are
+verdict-preserving by construction (and agreement-tested), so runs that
+differ only in those knobs share cache entries.
 """
 
 from __future__ import annotations

@@ -968,6 +968,20 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     # body without status line.  Every reply here carries a status line.
     default_request_version = "HTTP/1.0"
 
+    def parse_request(self) -> bool:
+        """Reject a versionless (HTTP/0.9) request line before header parsing.
+
+        The stdlib accepts ``GET /path`` without a version and then blocks
+        reading headers that never come, holding the handler thread until
+        the socket timeout.
+        """
+        if len(self.raw_requestline.split()) == 2:
+            self.command = None
+            self.request_version = self.default_request_version
+            self.send_error(400, "request line has no HTTP version")
+            return False
+        return super().parse_request()
+
     # Replace the default per-request stderr logging with structured access
     # logs — silent unless ``configure_logging`` installed a handler.
     def log_message(self, format: str, *args) -> None:  # noqa: A002

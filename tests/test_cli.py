@@ -52,6 +52,23 @@ class TestParser:
         )
         assert args.method == "distribution"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "a.qasm", "b.qasm", "--dense-cutoff", "4"],
+            ["batch", "manifest.txt", "--dense-cutoff", "4"],
+            ["batch", "manifest.txt", "--gate-cache-size", "64"],
+            ["serve", "--gate-cache-size", "256"],
+            ["serve", "--gate-cache-ttl", "60"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_removed_dd_cache_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_equivalent_pair_returns_zero(self, qasm_files, capsys):
@@ -296,8 +313,6 @@ class TestPortfolioAndBatch:
                 "2",
                 "--max-workers",
                 "2",
-                "--gate-cache-size",
-                "64",
                 "--json",
             ]
         )

@@ -33,7 +33,7 @@ class TestGateCacheStatistics:
         # 24 gate applications but only 3 distinct (gate, qubits) keys.
         assert statistics["gate_cache_misses"] == 3
         assert statistics["gate_cache_hits"] == 21
-        assert statistics["gate_cache_size"] == 3
+        assert statistics["gate_cache_entries"] == 3
         assert statistics["gate_cache_hit_ratio"] == pytest.approx(21 / 24)
 
     def test_no_counting_when_disabled(self):
@@ -42,7 +42,7 @@ class TestGateCacheStatistics:
         statistics = package.statistics()
         assert statistics["gate_cache_hits"] == 0
         assert statistics["gate_cache_misses"] == 0
-        assert statistics["gate_cache_size"] == 0
+        assert statistics["gate_cache_entries"] == 0
 
     def test_statistics_surface_through_equivalence_check(self):
         result = check_equivalence(
@@ -56,68 +56,9 @@ class TestGateCacheStatistics:
     def test_clear_caches_drops_gate_cache(self):
         package = DDPackage(3)
         circuit_to_unitary_dd(package, _repeated_gate_circuit(4))
-        assert package.statistics()["gate_cache_size"] > 0
+        assert package.statistics()["gate_cache_entries"] > 0
         package.clear_caches()
-        assert package.statistics()["gate_cache_size"] == 0
-
-
-class TestGateCacheEviction:
-    def test_bounded_cache_evicts_least_recently_used(self):
-        package = DDPackage(3, gate_cache_size=2)
-        circuit_to_unitary_dd(package, _repeated_gate_circuit(1))  # h, cx, t
-        statistics = package.statistics()
-        assert statistics["gate_cache_limit"] == 2
-        assert statistics["gate_cache_size"] <= 2
-        assert statistics["gate_cache_evictions"] >= 1
-
-    def test_lru_order_hit_refreshes_entry(self):
-        package = DDPackage(2, gate_cache_size=2)
-        circuit_a = QuantumCircuit(2)
-        circuit_a.h(0)
-        circuit_b = QuantumCircuit(2)
-        circuit_b.x(1)
-        a = next(iter(circuit_a.gate_instructions()))
-        b = next(iter(circuit_b.gate_instructions()))
-        instruction_to_dd(package, a)  # miss: cache = [a]
-        instruction_to_dd(package, b)  # miss: cache = [a, b]
-        instruction_to_dd(package, a)  # hit: refreshes a -> cache = [b, a]
-        circuit_c = QuantumCircuit(2)
-        circuit_c.t(0)
-        c = next(iter(circuit_c.gate_instructions()))
-        instruction_to_dd(package, c)  # evicts b, the least recently used
-        statistics = package.statistics()
-        assert statistics["gate_cache_evictions"] == 1
-        hits_before = statistics["gate_cache_hits"]
-        instruction_to_dd(package, a)  # still cached
-        assert package.statistics()["gate_cache_hits"] == hits_before + 1
-        instruction_to_dd(package, b)  # evicted, so a fresh miss
-        assert package.statistics()["gate_cache_misses"] == statistics["gate_cache_misses"] + 1
-
-    def test_chain_cache_bounded_too(self):
-        package = DDPackage(4, gate_cache_size=1)
-        circuit = QuantumCircuit(4)
-        for qubit in range(4):
-            circuit.h(qubit)
-        circuit_to_unitary_dd(package, circuit)
-        statistics = package.statistics()
-        assert statistics["chain_cache_size"] <= 1
-        assert statistics["chain_cache_evictions"] >= 1
-
-    def test_invalid_bound_rejected(self):
-        from repro.exceptions import DDError
-
-        with pytest.raises(DDError):
-            DDPackage(2, gate_cache_size=0)
-
-    def test_verdicts_unchanged_under_tight_bound(self):
-        static = qft_static_benchmark(4)
-        dynamic = qft_dynamic(4)
-        unbounded = check_equivalence(static, dynamic, seed=1)
-        bounded = check_equivalence(static, dynamic, seed=1, gate_cache_size=2)
-        assert bounded.criterion is unbounded.criterion
-        stats = bounded.details["dd_statistics"]
-        assert stats["gate_cache_size"] <= 2
-        assert stats["gate_cache_limit"] == 2
+        assert package.statistics()["gate_cache_entries"] == 0
 
 
 class TestGateCacheSemantics:
@@ -153,7 +94,7 @@ class TestGateCacheSemantics:
     def test_identity_chain_is_memoized(self):
         package = DDPackage(4)
         assert package.identity() is package.identity()
-        assert package.statistics()["chain_cache_size"] >= 1
+        assert package.statistics()["chain_cache_entries"] >= 1
 
 
 class TestCachedVsUncachedVerdicts:

@@ -1,23 +1,16 @@
-"""Tests of the DD kernel overhaul: flyweight edges, hybrid dense-subtree
-cutoff, memoized trace/probability queries, and statistics stability."""
+"""Tests of the DD kernel overhaul: flyweight edges, memoized
+trace/probability queries, and statistics stability."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.circuit.random_circuits import random_static_circuit
-from repro.cli import build_parser
-from repro.core import Configuration, check_equivalence
 from repro.dd.circuits import circuit_to_unitary_dd
 from repro.dd.nodes import M_ONE, M_ZERO, V_ONE, V_ZERO, VEdge
 from repro.dd.package import DDPackage
-from repro.exceptions import DDError, EquivalenceCheckingError
-from repro.simulators.dd_simulator import DDSimulator
+from repro.exceptions import DDError
 
 H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-MAX_EXAMPLES = 10
 
 
 class TestFlyweightEdges:
@@ -62,7 +55,7 @@ class TestFlyweightEdges:
 
     def test_gate_cache_statistics_unchanged_by_refactor(self):
         # Mirrors the PR 1 counting contract: 24 gate applications, 3 distinct
-        # (gate, qubits) keys — also with the hybrid kernels enabled.
+        # (gate, qubits) keys.
         from repro.circuit import QuantumCircuit
 
         circuit = QuantumCircuit(3, name="repeated")
@@ -70,27 +63,12 @@ class TestFlyweightEdges:
             circuit.h(0)
             circuit.cx(0, 1)
             circuit.t(2)
-        for cutoff in (0, 2):
-            package = DDPackage(3, dense_cutoff=cutoff)
-            circuit_to_unitary_dd(package, circuit)
-            statistics = package.statistics()
-            assert statistics["gate_cache_misses"] == 3
-            assert statistics["gate_cache_hits"] == 21
-            assert statistics["gate_cache_size"] == 3
-
-    def test_lru_eviction_counters_unchanged_by_refactor(self):
-        from repro.circuit import QuantumCircuit
-
-        circuit = QuantumCircuit(3)
-        for _ in range(4):
-            circuit.h(0)
-            circuit.cx(0, 1)
-            circuit.t(2)
-        package = DDPackage(3, gate_cache_size=2)
+        package = DDPackage(3)
         circuit_to_unitary_dd(package, circuit)
         statistics = package.statistics()
-        assert statistics["gate_cache_size"] <= 2
-        assert statistics["gate_cache_evictions"] >= 1
+        assert statistics["gate_cache_misses"] == 3
+        assert statistics["gate_cache_hits"] == 21
+        assert statistics["gate_cache_entries"] == 3
 
 
 class TestBasisStateValidation:
@@ -133,83 +111,3 @@ class TestMemoizedQueries:
         state = package.multiply_matrix_vector(chain, package.zero_state())
         assert package.probability_of_one(state, 0) == pytest.approx(0.5)
         assert package.probability_of_one(state, num_qubits - 1) == pytest.approx(0.5)
-
-
-class TestDenseCutoff:
-    def test_package_rejects_negative_cutoff(self):
-        with pytest.raises(DDError):
-            DDPackage(2, dense_cutoff=-1)
-
-    def test_configuration_rejects_negative_cutoff(self):
-        with pytest.raises(EquivalenceCheckingError):
-            Configuration(dense_cutoff=-1)
-
-    def test_cli_exposes_dense_cutoff(self):
-        args = build_parser().parse_args(["verify", "a.qasm", "b.qasm", "--dense-cutoff", "4"])
-        assert args.dense_cutoff == 4
-
-    def test_dense_caches_populate_and_clear(self):
-        package = DDPackage(3, dense_cutoff=3)
-        first = package.operator_chain({0: H2})
-        second = package.operator_chain({1: H2})
-        package.multiply_matrices(first, second)
-        statistics = package.statistics()
-        assert statistics["dense_cutoff"] == 3
-        assert statistics["dense_matrix_cache"] > 0
-        package.clear_caches()
-        assert package.statistics()["dense_matrix_cache"] == 0
-
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        num_qubits=st.integers(min_value=1, max_value=4),
-        depth=st.integers(min_value=0, max_value=6),
-        cutoff=st.integers(min_value=1, max_value=5),
-    )
-    def test_unitaries_numerically_equal_with_and_without_cutoff(
-        self, seed, num_qubits, depth, cutoff
-    ):
-        circuit = random_static_circuit(num_qubits, depth, seed=seed)
-        plain = DDPackage(num_qubits)
-        hybrid = DDPackage(num_qubits, dense_cutoff=cutoff)
-        reference = plain.matrix_to_numpy(circuit_to_unitary_dd(plain, circuit))
-        dense = hybrid.matrix_to_numpy(circuit_to_unitary_dd(hybrid, circuit))
-        assert np.allclose(dense, reference, atol=1e-10)
-
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        num_qubits=st.integers(min_value=1, max_value=4),
-        depth=st.integers(min_value=0, max_value=6),
-        cutoff=st.integers(min_value=1, max_value=5),
-    )
-    def test_states_numerically_equal_with_and_without_cutoff(
-        self, seed, num_qubits, depth, cutoff
-    ):
-        circuit = random_static_circuit(num_qubits, depth, seed=seed)
-        plain = DDSimulator().run(circuit, package=DDPackage(num_qubits))
-        hybrid = DDSimulator().run(
-            circuit, package=DDPackage(num_qubits, dense_cutoff=cutoff)
-        )
-        assert np.allclose(
-            plain.to_statevector(), hybrid.to_statevector(), atol=1e-10
-        )
-
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        num_qubits=st.integers(min_value=1, max_value=4),
-        cutoff=st.integers(min_value=1, max_value=5),
-        equivalent=st.booleans(),
-    )
-    def test_verdicts_identical_with_and_without_cutoff(
-        self, seed, num_qubits, cutoff, equivalent
-    ):
-        first = random_static_circuit(num_qubits, 4, seed=seed)
-        if equivalent:
-            second = random_static_circuit(num_qubits, 4, seed=seed)
-        else:
-            second = random_static_circuit(num_qubits, 5, seed=seed + 1)
-        plain = check_equivalence(first, second, dense_cutoff=0)
-        hybrid = check_equivalence(first, second, dense_cutoff=cutoff)
-        assert plain.criterion is hybrid.criterion

@@ -231,9 +231,6 @@ class TestPairAndConfigurationFingerprints:
             {"max_workers": 16},
             {"batch_chunk_size": 4},
             {"gate_cache": False},
-            {"gate_cache_size": 32},
-            {"gate_cache_ttl": 60.0},
-            {"dense_cutoff": 4},
             {"verdict_cache": True},
             {"cache_size": 2},
         ):
@@ -241,6 +238,14 @@ class TestPairAndConfigurationFingerprints:
             assert pair_fingerprint(a, b, base) == pair_fingerprint(a, b, changed), (
                 f"{overrides} must not change the pair fingerprint"
             )
+
+    def test_pair_fingerprint_is_pinned(self):
+        # Journals written under an earlier Configuration (which still had
+        # the dense_cutoff / gate_cache_size / gate_cache_ttl fields) must
+        # keep hitting: the digest of a fixed pair may never drift.
+        assert pair_fingerprint(_bell(), _bell(), Configuration(seed=1)) == (
+            "3e1ea97fa72d05c810df8c0dea09702e59afa25051cffb6ca6c128eac8795542"
+        )
 
     def test_default_portfolio_matches_explicit_spelling(self):
         from repro.core.manager import DEFAULT_PORTFOLIO

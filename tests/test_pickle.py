@@ -206,7 +206,6 @@ class TestProcessLocalTypes:
             seed=5,
             executor="process",
             batch_chunk_size=3,
-            gate_cache_size=128,
             portfolio=("simulation", "alternating"),
         )
         assert _roundtrip(configuration) == configuration

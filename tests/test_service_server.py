@@ -133,6 +133,7 @@ def _post_jobs(body: bytes) -> bytes:
 MALFORMED_REQUESTS = {
     "garbage-request-line": b"HELLO\r\n\r\n",
     "http-2-request-line": b"GET /healthz HTTP/2.0\r\n\r\n",
+    "http-0.9-request-line": b"GET /healthz\r\n",
     "70kb-header": b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
     "200-headers": b"GET /healthz HTTP/1.1\r\n"
     + b"".join(b"X-%d: y\r\n" % index for index in range(200))
@@ -903,7 +904,6 @@ class TestServeCli:
         assert args.port == 8111
         assert args.scheduler == "adaptive"
         assert args.cache_path is None
-        assert args.gate_cache_ttl is None
 
     def test_version_flag(self, capsys):
         import repro
